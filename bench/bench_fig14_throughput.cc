@@ -82,14 +82,24 @@ int main(int argc, char** argv) {
   // --fork: every SLO-search probe of one architecture forks from that
   // architecture's shared warmup checkpoint instead of re-simulating it
   // (EXPERIMENTS.md "Fork-mode sweeps").
-  const std::vector<double> factors =
+  struct Found {
+    double factor = 0;
+    workload::SpeculationStats spec;
+  };
+  const std::vector<Found> found =
       workload::ParallelRunner().map(jobs, [&](const SearchJob& job) {
+        Found f;
         if (obs_opts.fork) {
           workload::SweepSession session(job.cfg);
-          return workload::find_max_load_forked(session, slos, iters);
+          f.factor = workload::find_max_load_forked(session, slos, iters);
+        } else {
+          f.factor = workload::find_max_load(job.cfg, slos, iters, 0.05,
+                                             12.0, nullptr, &f.spec);
         }
-        return workload::find_max_load(job.cfg, slos, iters);
+        return f;
       });
+  std::vector<double> factors;
+  for (const Found& f : found) factors.push_back(f.factor);
 
   if (golden) {
     std::vector<std::pair<std::string, std::string>> entries;
@@ -123,5 +133,26 @@ int main(int argc, char** argv) {
   r.add_row({"AccelFlow+EDF / AccelFlow",
              stats::Table::fmt(factors[6] / af, 2)});
   r.print(std::cout);
+
+  // Speculation counters depend on host timing, so they go to stderr and
+  // stdout stays identical across thread counts (DESIGN.md §10).
+  if (!obs_opts.fork) {
+    stats::Table sp("SLO-search speculation (probes run ahead on idle "
+                    "slots; hit rate = used / launched)");
+    sp.set_header({"Architecture", "Probes", "Launched", "Used",
+                   "Cancelled", "Hit rate"});
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const workload::SpeculationStats& st = found[j].spec;
+      sp.add_row({jobs[j].label, std::to_string(st.probes),
+                  std::to_string(st.launched), std::to_string(st.used),
+                  std::to_string(st.cancelled),
+                  st.launched == 0
+                      ? "-"
+                      : stats::Table::fmt(static_cast<double>(st.used) /
+                                              static_cast<double>(st.launched),
+                                          2)});
+    }
+    sp.print(std::cerr);
+  }
   return 0;
 }

@@ -24,23 +24,36 @@ int main() {
                  "1.4x @0.25x, 2.2x @1x, 3.9x @4x)");
   t.set_header({"Speedup scale", "RELIEF max load", "AccelFlow max load",
                 "AF/RELIEF", "AF P99 (us)", "RELIEF P99 (us)"});
-  for (const double scale : {0.25, 0.5, 1.0, 2.0, 4.0}) {
-    double peak[2];
-    double p99[2];
-    int i = 0;
+  // Ten independent (SLO search, experiment) pairs: fan them across the
+  // thread pool; the table is identical to the serial loop's.
+  const std::vector<double> scales = {0.25, 0.5, 1.0, 2.0, 4.0};
+  std::vector<workload::ExperimentConfig> jobs;
+  for (const double scale : scales) {
     for (const auto kind :
          {core::OrchKind::kRelief, core::OrchKind::kAccelFlow}) {
       auto cfg = base;
       cfg.kind = kind;
       cfg.machine.speedup_scale = scale;
-      peak[i] = workload::find_max_load(cfg, slos, iters);
-      p99[i] = workload::run_experiment(cfg).avg_p99_us;
-      ++i;
+      jobs.push_back(std::move(cfg));
     }
-    t.add_row({stats::Table::fmt(scale, 2), stats::Table::fmt(peak[0], 2),
-               stats::Table::fmt(peak[1], 2),
-               stats::Table::fmt(peak[1] / std::max(peak[0], 1e-9), 2),
-               stats::Table::fmt_us(p99[1]), stats::Table::fmt_us(p99[0])});
+  }
+  struct Point {
+    double peak = 0;
+    double p99 = 0;
+  };
+  const std::vector<Point> points = workload::ParallelRunner().map(
+      jobs, [&](const workload::ExperimentConfig& cfg) {
+        return Point{workload::find_max_load(cfg, slos, iters),
+                     workload::run_experiment(cfg).avg_p99_us};
+      });
+  for (std::size_t i = 0; i < scales.size(); ++i) {
+    const Point& relief = points[2 * i];
+    const Point& af = points[2 * i + 1];
+    t.add_row({stats::Table::fmt(scales[i], 2),
+               stats::Table::fmt(relief.peak, 2),
+               stats::Table::fmt(af.peak, 2),
+               stats::Table::fmt(af.peak / std::max(relief.peak, 1e-9), 2),
+               stats::Table::fmt_us(af.p99), stats::Table::fmt_us(relief.p99)});
   }
   t.print(std::cout);
   return 0;

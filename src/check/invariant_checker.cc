@@ -20,7 +20,8 @@ void InvariantChecker::attach(core::Machine& machine,
   machine.sim().set_probe(this);
   last_event_time_ = machine.sim().now();
   // Run-scoped tracking resets so one checker can audit several sequential
-  // runs (e.g. a find_max_load sweep attaches it to every probe run);
+  // runs (e.g. find_max_load with a checker in its base config runs its
+  // probes one at a time, speculation off, and attaches it to each);
   // detected violations and activity counters accumulate across runs.
   active_.clear();
   finished_.clear();

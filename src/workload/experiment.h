@@ -2,6 +2,8 @@
 #define ACCELFLOW_WORKLOAD_EXPERIMENT_H_
 
 #include <array>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -216,17 +218,64 @@ std::vector<sim::TimePs> unloaded_latency(ExperimentConfig config,
                                           core::OrchKind kind);
 
 /**
+ * Speculation counters of one find_max_load() call (DESIGN.md §10.1). A
+ * speculative probe either is used (the serial search consumed it), is
+ * cancelled (the search left it before it finished), or finished unused;
+ * used / launched is the prediction hit rate.
+ */
+struct SpeculationStats {
+  std::uint64_t probes = 0;     ///< Probes the serial search consumed.
+  std::uint64_t launched = 0;   ///< Probes started ahead on a free slot.
+  std::uint64_t used = 0;       ///< Launched probes the search consumed.
+  std::uint64_t cancelled = 0;  ///< Launched probes stopped unfinished.
+};
+
+/**
  * Maximum per-service load multiplier (applied to the configured rates)
- * such that every service's P99 stays within its SLO. Binary search.
+ * such that every service's P99 stays within its SLO (a service that
+ * completes nothing violates it). The search probes `lo`, then a
+ * geometric grid (x1.35) up to the first violation below `hi`, then
+ * bisects that bracket at most `search_iters` times.
+ *
+ * The probes run speculatively, but the answer is the serial search's,
+ * bit for bit: every decision is the serial one, taken in order, on the
+ * results of the very probes the serial loop would run. Free slots of the
+ * process-wide ParallelRunner budget run the probes predicted to come
+ * next (p99/SLO ratios interpolated log-linearly in load), and a probe
+ * that the search's decisions rule out is cancelled. With no free slot
+ * (e.g. AF_BENCH_THREADS=1), or when `base` carries a tracer, checker or
+ * metrics registry (single-simulation observers), nothing runs ahead and
+ * the search is the plain serial loop. An exception from a probe surfaces
+ * only if the serial search consumes that probe. DESIGN.md §10.1.
  *
  * @param slos per-service latency SLOs.
- * @return the multiplier and, via out parameters if non-null, the result
- *         at the found operating point.
+ * @param at_peak if non-null, receives the result at the found point.
+ * @param speculation if non-null, receives the speculation counters.
+ * @return the multiplier, or 0 when even `lo` violates the SLO.
  */
 double find_max_load(const ExperimentConfig& base,
                      const std::vector<sim::TimePs>& slos,
                      int search_iters = 7, double lo = 0.05,
-                     double hi = 12.0, ExperimentResult* at_peak = nullptr);
+                     double hi = 12.0, ExperimentResult* at_peak = nullptr,
+                     SpeculationStats* speculation = nullptr);
+
+/** Test seam for find_max_load(): the search with a substitute probe. */
+namespace detail {
+
+/** Runs one search probe; find_max_load() passes run_experiment. */
+using ProbeFn = std::function<ExperimentResult(const ExperimentConfig&)>;
+
+/** find_max_load() with `probe` in place of run_experiment. */
+double find_max_load(const ProbeFn& probe, const ExperimentConfig& base,
+                     const std::vector<sim::TimePs>& slos, int search_iters,
+                     double lo, double hi, ExperimentResult* at_peak,
+                     SpeculationStats* speculation);
+
+/** True on a thread running a speculative probe that the search has
+ *  cancelled; run_experiment polls it between calendar slices. */
+bool probe_cancelled();
+
+}  // namespace detail
 
 }  // namespace accelflow::workload
 

@@ -4,6 +4,40 @@
 #include <cstdlib>
 
 namespace accelflow::workload {
+namespace {
+
+/** Slots held process-wide: map() workers, find_max_load() callers and
+ *  speculative probes. */
+std::atomic<unsigned> g_busy_slots{0};
+/** BusyScope nesting depth on this thread; only the outermost counts. */
+thread_local unsigned t_busy_depth = 0;
+
+}  // namespace
+
+ParallelRunner::BusyScope::BusyScope() : counted_(t_busy_depth++ == 0) {
+  if (counted_) g_busy_slots.fetch_add(1, std::memory_order_relaxed);
+}
+
+ParallelRunner::BusyScope::~BusyScope() {
+  --t_busy_depth;
+  if (counted_) release_slot();
+}
+
+bool ParallelRunner::try_claim_slot() {
+  const unsigned budget = default_threads();
+  unsigned busy = g_busy_slots.load(std::memory_order_relaxed);
+  while (busy < budget) {
+    if (g_busy_slots.compare_exchange_weak(busy, busy + 1,
+                                           std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void ParallelRunner::release_slot() {
+  g_busy_slots.fetch_sub(1, std::memory_order_relaxed);
+}
 
 ParallelRunner::ParallelRunner(unsigned threads)
     : threads_(threads == 0 ? default_threads() : threads) {}

@@ -21,6 +21,10 @@
  * point. ParallelRunner exploits exactly that: each worker thread runs
  * whole simulations serially, results are collected in submission order,
  * and a point's result is byte-identical to what a serial loop produces.
+ *
+ * The runner also keeps the process-wide budget of busy threads that lets
+ * find_max_load() run probes ahead only on otherwise idle cores
+ * (DESIGN.md §10.1).
  */
 
 namespace accelflow::workload {
@@ -49,6 +53,30 @@ class ParallelRunner {
 
   unsigned threads() const { return threads_; }
 
+  /**
+   * Marks the calling thread busy against the process-wide budget of
+   * default_threads() slots for the scope's lifetime. map() workers and
+   * find_max_load() callers hold one, always: real work never waits for a
+   * slot. Nested scopes on one thread count once. Speculative work takes
+   * a slot only through try_claim_slot(), so it runs on idle cores only.
+   */
+  class BusyScope {
+   public:
+    BusyScope();
+    ~BusyScope();
+    BusyScope(const BusyScope&) = delete;
+    BusyScope& operator=(const BusyScope&) = delete;
+
+   private:
+    bool counted_;
+  };
+
+  /** Takes a free slot for speculative work; false when none is free. */
+  static bool try_claim_slot();
+
+  /** Returns a slot taken by try_claim_slot(). */
+  static void release_slot();
+
   /** Runs every config (in any order) and returns results in input order. */
   std::vector<ExperimentResult> run(
       const std::vector<ExperimentConfig>& configs) const;
@@ -67,6 +95,7 @@ class ParallelRunner {
     std::vector<Result> results(items.size());
     const unsigned workers = worker_count(items.size());
     if (workers <= 1) {
+      const BusyScope busy;
       for (std::size_t i = 0; i < items.size(); ++i) {
         results[i] = fn(items[i]);
       }
@@ -77,6 +106,7 @@ class ParallelRunner {
     std::exception_ptr error;
     std::mutex error_mu;
     auto work = [&] {
+      const BusyScope busy;
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= items.size() || failed.load(std::memory_order_relaxed)) {

@@ -30,6 +30,9 @@
  * or AF_QOS=1) must stay bit-identical across worker-thread counts and
  * across the sched x compile corners, and the AF_QOS env toggle must
  * match the equivalent config toggle.
+ *
+ * The thread axis also covers workload::find_max_load: the speculative
+ * search on the default slot budget must match AF_BENCH_THREADS=1.
  */
 
 #include <gtest/gtest.h>
@@ -115,6 +118,33 @@ TEST(DeterminismMatrix, IdenticalAcrossThreadCounts) {
                            std::to_string(i));
     }
   }
+}
+
+TEST(DeterminismMatrix, FindMaxLoadIdenticalAcrossThreadCounts) {
+  // The thread axis of the SLO capacity search: the speculative search
+  // on the default slot budget (probes run ahead on idle cores) must
+  // return the serial search's factor and at_peak result bit for bit.
+  // AF_BENCH_THREADS=1 leaves no slot free, so nothing runs ahead.
+  const ExperimentConfig cfg = matrix_configs()[1];
+  std::vector<sim::TimePs> slos;
+  for (const sim::TimePs u : unloaded_latency(cfg, core::OrchKind::kNonAcc)) {
+    slos.push_back(5 * u);
+  }
+  const char* env = std::getenv("AF_BENCH_THREADS");
+  const std::string saved = env != nullptr ? env : "";
+  auto search = [&](ExperimentResult& peak) {
+    return find_max_load(cfg, slos, 3, 0.25, 8.0, &peak);
+  };
+  setenv("AF_BENCH_THREADS", "1", 1);
+  ExperimentResult serial_peak;
+  const double serial = search(serial_peak);
+  unsetenv("AF_BENCH_THREADS");
+  ExperimentResult default_peak;
+  const double parallel = search(default_peak);
+  if (env != nullptr) setenv("AF_BENCH_THREADS", saved.c_str(), 1);
+  EXPECT_GT(serial, 0.0);
+  EXPECT_EQ(serial, parallel);
+  expect_identical(serial_peak, default_peak, "find_max_load at_peak");
 }
 
 /** Drops AF_COMPILE from the environment for the scope (the sanitize CI

@@ -16,7 +16,8 @@ Usage:
     tools/perf_gate.py BASELINE.json MEASURED.json [--min-ratio 0.8]
         [--speedup-floor KEY=VALUE ...]
 
-Exit status 0 when every gated key passes, 1 otherwise. Refresh the
+Exit status 0 when every gated key passes, 1 otherwise; a missing or
+unreadable baseline or measurement fails with a one-line reason. Refresh the
 baselines after an intentional perf change with tools/update_goldens.sh.
 """
 
@@ -28,6 +29,17 @@ import sys
 def load(path):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
+
+
+def load_or_fail(path, role):
+    """The parsed JSON at ``path``, or None after printing why not."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        print(f"FAIL: {role} {path} missing")
+    except (OSError, ValueError) as e:
+        print(f"FAIL: {role} {path} unreadable: {e}")
+    return None
 
 
 def main():
@@ -61,8 +73,10 @@ def main():
             print(f"FAIL: bad --speedup-floor value in '{spec}'")
             return 1
 
-    baseline = load(args.baseline)
-    measured = load(args.measured)
+    baseline = load_or_fail(args.baseline, "baseline")
+    measured = load_or_fail(args.measured, "measured")
+    if baseline is None or measured is None:
+        return 1
 
     gated = sorted(k for k in baseline if k.endswith("_per_sec"))
     if not gated:
