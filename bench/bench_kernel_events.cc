@@ -11,15 +11,12 @@
  *    response-timeout arming, the only cancel() user in the model).
  *  - "burst": periodic fan-out of same-timestamp events (models request
  *    arrival bursts fanning into parallel chains).
- *  - "chain": chain execution through the AccelFlow engine, interpreted
- *    vs compiled+batched (DESIGN.md §15), measured at three levels whose
- *    geomean is the gated compiled_speedup_geomean: a standard full-model
- *    shape (every completion staggered by the DMA serializer, so
- *    orchestration is a minor share and the ratio sits near 1.0 — kept
- *    as the honest dilution bound), a zero-overhead shape (OrchKind::
- *    kIdeal strips hardware latencies, isolating the dispatcher FSM and
- *    event kernel the compiled backend attacks), and a per-hop dispatch
- *    micro pair (nibble decode vs pre-resolved block walk).
+ *  - "chain": chain execution through the AccelFlow engine at three
+ *    levels: a standard full-model shape (every completion staggered by
+ *    the DMA serializer, so orchestration is a minor share), a
+ *    zero-overhead shape (OrchKind::kIdeal strips hardware latencies,
+ *    isolating the dispatcher FSM and event kernel), and the per-hop
+ *    nibble-decode cost of the trace interpreter.
  *
  * The seed kernel (std::function callbacks + std::priority_queue + lazy-
  * cancel unordered_set) is embedded below as LegacySimulator and run on
@@ -27,14 +24,6 @@
  * machine-independent. Results land in BENCH_kernel.json (override the
  * path with AF_BENCH_KERNEL_JSON) for the machine-readable perf
  * trajectory.
- *
- * The calendar-backend axis (DESIGN.md §18) runs the three kernel
- * workloads and the chain shapes on both backends — the indexed 4-ary
- * heap and the hierarchical timing wheel — via simulators pinned with the
- * explicit backend constructor. The gated sched_speedup_geomean is the
- * wheel/heap geomean over hold, cancel and burst (the kernel-dominated
- * workloads); the chain rows carry a wheel column for the diluted
- * full-model view.
  */
 
 #include <algorithm>
@@ -46,13 +35,11 @@
 #include <functional>
 #include <iostream>
 #include <queue>
-#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/chain.h"
-#include "core/chain_program.h"
 #include "core/machine.h"
 #include "core/orchestrator.h"
 #include "core/trace_encoding.h"
@@ -131,16 +118,6 @@ class LegacySimulator {
   std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   std::unordered_set<EventId> cancelled_;
-};
-
-/** sim::Simulator pinned to the 4-ary heap calendar, ignoring AF_SCHED. */
-struct HeapSim : sim::Simulator {
-  HeapSim() : sim::Simulator(sim::SchedBackend::kHeap) {}
-};
-
-/** sim::Simulator pinned to the hierarchical timing wheel calendar. */
-struct WheelSim : sim::Simulator {
-  WheelSim() : sim::Simulator(sim::SchedBackend::kWheel) {}
 };
 
 /** Deterministic 64-bit LCG: cheap enough to not dominate the measurement. */
@@ -233,8 +210,7 @@ std::uint64_t run_burst(std::uint64_t bursts) {
 }
 
 /** Constant-cost chain environment: every chain sees identical values, so
- *  same-accelerator completions align in time and the batched drain path
- *  runs at its real widths. */
+ *  same-accelerator completions align in time. */
 class ConstEnv final : public core::ChainEnv {
  public:
   sim::TimePs op_cpu_cost(core::ChainContext&, accel::AccelType,
@@ -262,26 +238,19 @@ struct ChainBenchResult {
  * Runs `target` template chains in synchronized waves of 512 (the next
  * wave launches when the previous one fully completes, the arrival-burst
  * shape run_burst isolates at the kernel level) through the AccelFlow
- * engine and times the event loop. Waves keep same-accelerator
- * completions aligned so the batched drain path runs at its real widths;
- * identical work in both modes — only the backend differs — so
- * wall-time ratios are true speedups.
+ * engine and times the event loop.
  */
-ChainBenchResult run_chain_bench(bool compiled, bool zero,
-                                 std::uint64_t target,
-                                 sim::SchedBackend sched) {
+ChainBenchResult run_chain_bench(bool zero, std::uint64_t target) {
   core::MachineConfig mc;
   mc.accel_queue_entries = 4096;
   mc.overflow_capacity = 4096;
   mc.pes_per_accel = 64;
-  mc.sched = sched;
   core::Machine machine(mc);
 
   core::TraceLibrary lib;
   const core::TraceTemplates tt = core::register_templates(lib);
 
-  core::EngineConfig ec;
-  ec.compile = compiled;
+  const core::EngineConfig ec;
   // The zero-overhead shape must go through kIdeal: make_orchestrator pins
   // zero_overhead=false for kAccelFlow (it is what the Ideal baseline
   // models, not an AccelFlow mode).
@@ -336,11 +305,8 @@ ChainBenchResult run_chain_bench(bool compiled, bool zero,
 }
 
 /**
- * Per-hop dispatch cost, micro level (the bench_micro_trace --compiled
- * pair, inlined here so BENCH_kernel.json carries it): interpreted =
- * decode every nibble of the t1 word hop after hop; compiled = follow
- * the pre-resolved succ_entry block indices the way the executor does
- * (hash lookup only at chain start). Returns ns per hop.
+ * Per-hop dispatch cost, micro level: decode every nibble of the t1 word
+ * hop after hop, as the dispatcher FSM does. Returns ns per hop.
  */
 double interp_hop_ns(std::uint64_t iters) {
   core::TraceLibrary lib;
@@ -363,59 +329,12 @@ double interp_hop_ns(std::uint64_t iters) {
          1e9 / static_cast<double>(iters);
 }
 
-double compiled_hop_ns(std::uint64_t iters) {
-  core::TraceLibrary lib;
-  const core::TraceTemplates tt = core::register_templates(lib);
-  const core::ChainProgram prog(lib);
-  const std::uint64_t word = lib.get(tt.t1).word;
-  const core::TraceOp first = core::decode_op(word, 0);
-  const accel::PayloadFlags flags;
-  const core::ChainProgram::Block* b =
-      prog.lookup(word, first.next_pm, flags);
-  std::uint64_t sink = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    sink += static_cast<std::uint64_t>(b->terminal);
-    const bool forwards =
-        (b->terminal == core::ChainProgram::Terminal::kInvoke ||
-         b->terminal == core::ChainProgram::Terminal::kTailArmed) &&
-        b->succ_entry >= 0;
-    b = forwards ? prog.block_for(b->succ_entry, flags)
-                 : prog.lookup(word, first.next_pm, flags);
-  }
-  const auto end = std::chrono::steady_clock::now();
-  volatile std::uint64_t keep = sink;
-  (void)keep;
-  return std::chrono::duration_cast<std::chrono::duration<double>>(end -
-                                                                   start)
-             .count() *
-         1e9 / static_cast<double>(iters);
-}
-
-/** Best-of-3 wall times for one chain shape — interpreted-on-heap,
- *  compiled-on-heap and interpreted-on-wheel reps interleaved so
- *  transient machine load degrades every backend alike instead of
- *  skewing the ratios. */
-struct ChainTriple {
-  ChainBenchResult interp;    ///< Interpreted chains, heap calendar.
-  ChainBenchResult compiled;  ///< Compiled chains, heap calendar.
-  ChainBenchResult wheel;     ///< Interpreted chains, wheel calendar.
-};
-
-ChainTriple best_chain_triple(bool zero, std::uint64_t target) {
-  ChainTriple best;
+/** Best-of-3 wall time for one chain shape. */
+ChainBenchResult best_chain_run(bool zero, std::uint64_t target) {
+  ChainBenchResult best;
   for (int rep = 0; rep < 3; ++rep) {
-    const ChainBenchResult i = run_chain_bench(
-        /*compiled=*/false, zero, target, sim::SchedBackend::kHeap);
-    const ChainBenchResult c = run_chain_bench(
-        /*compiled=*/true, zero, target, sim::SchedBackend::kHeap);
-    const ChainBenchResult w = run_chain_bench(
-        /*compiled=*/false, zero, target, sim::SchedBackend::kWheel);
-    if (best.interp.secs == 0 || i.secs < best.interp.secs) best.interp = i;
-    if (best.compiled.secs == 0 || c.secs < best.compiled.secs) {
-      best.compiled = c;
-    }
-    if (best.wheel.secs == 0 || w.secs < best.wheel.secs) best.wheel = w;
+    const ChainBenchResult r = run_chain_bench(zero, target);
+    if (best.secs == 0 || r.secs < best.secs) best = r;
   }
   return best;
 }
@@ -441,14 +360,7 @@ double events_per_sec(Fn fn) {
 
 int main() {
   using namespace accelflow;
-  using bench::HeapSim;
   using bench::LegacySimulator;
-  using bench::WheelSim;
-
-  // The benchmark pins each backend explicitly (HeapSim/WheelSim and the
-  // Machine's sched config); clear the env toggle so it cannot silently
-  // upgrade the heap runs.
-  unsetenv("AF_SCHED");
 
   const bool fast = []() {
     const char* v = std::getenv("AF_BENCH_FAST");
@@ -461,198 +373,117 @@ int main() {
   struct Row {
     const char* name;
     double heap;
-    double wheel;
     double legacy;
   };
   std::vector<Row> rows;
 
   // Warm up the allocator/pools once per kernel, then measure.
-  (void)bench::run_hold<HeapSim>(kHoldEvents / 10);
-  (void)bench::run_hold<WheelSim>(kHoldEvents / 10);
+  (void)bench::run_hold<sim::Simulator>(kHoldEvents / 10);
   (void)bench::run_hold<LegacySimulator>(kHoldEvents / 10);
 
   rows.push_back(
       {"hold (self-rescheduling timers)",
        bench::events_per_sec(
-           [&] { return bench::run_hold<HeapSim>(kHoldEvents); }),
-       bench::events_per_sec(
-           [&] { return bench::run_hold<WheelSim>(kHoldEvents); }),
+           [&] { return bench::run_hold<sim::Simulator>(kHoldEvents); }),
        bench::events_per_sec(
            [&] { return bench::run_hold<LegacySimulator>(kHoldEvents); })});
   rows.push_back(
       {"cancel (armed timeouts)",
        bench::events_per_sec(
-           [&] { return bench::run_cancel<HeapSim>(kCancelRounds); }),
-       bench::events_per_sec(
-           [&] { return bench::run_cancel<WheelSim>(kCancelRounds); }),
+           [&] { return bench::run_cancel<sim::Simulator>(kCancelRounds); }),
        bench::events_per_sec([&] {
          return bench::run_cancel<LegacySimulator>(kCancelRounds);
        })});
   rows.push_back(
       {"burst (arrival fan-out)",
        bench::events_per_sec(
-           [&] { return bench::run_burst<HeapSim>(kBursts); }),
-       bench::events_per_sec(
-           [&] { return bench::run_burst<WheelSim>(kBursts); }),
+           [&] { return bench::run_burst<sim::Simulator>(kBursts); }),
        bench::events_per_sec(
            [&] { return bench::run_burst<LegacySimulator>(kBursts); })});
 
   stats::Table t("Event kernel throughput (events/sec)");
-  t.set_header({"Workload", "heap", "wheel", "seed kernel", "wheel/heap",
-                "heap/seed"});
+  t.set_header({"Workload", "heap", "seed kernel", "heap/seed"});
   double geo = 1.0;
-  double sched_geo = 1.0;
   for (const Row& r : rows) {
     const double speedup = r.heap / r.legacy;
-    const double sched_speedup = r.wheel / r.heap;
     geo *= speedup;
-    sched_geo *= sched_speedup;
     t.add_row({r.name, stats::Table::fmt(r.heap / 1e6, 2) + "M",
-               stats::Table::fmt(r.wheel / 1e6, 2) + "M",
                stats::Table::fmt(r.legacy / 1e6, 2) + "M",
-               stats::Table::fmt(sched_speedup, 2) + "x",
                stats::Table::fmt(speedup, 2) + "x"});
   }
   geo = std::pow(geo, 1.0 / static_cast<double>(rows.size()));
-  sched_geo = std::pow(sched_geo, 1.0 / static_cast<double>(rows.size()));
-  t.add_row({"geomean", "", "", "", stats::Table::fmt(sched_geo, 2) + "x",
-             stats::Table::fmt(geo, 2) + "x"});
+  t.add_row({"geomean", "", "", stats::Table::fmt(geo, 2) + "x"});
   t.print(std::cout);
 
-  // Chain orchestration: interpreted vs compiled+batched backend on the
-  // same chain population. The config flag selects the backend, so pin
-  // the env toggle out of the way.
-  unsetenv("AF_COMPILE");
+  // Chain orchestration through the AccelFlow engine.
   const std::uint64_t kChains = fast ? 50'000 : 100'000;
   struct ChainRow {
     const char* name;
     bool zero;
-    bench::ChainTriple result;
+    bench::ChainBenchResult result;
   };
   std::vector<ChainRow> chain_rows = {
       {"chain std (2048-chain waves)", false, {}},
       {"chain zero-overhead (2048-chain waves)", true, {}},
   };
   for (ChainRow& r : chain_rows) {
-    r.result = bench::best_chain_triple(r.zero, kChains);
+    r.result = bench::best_chain_run(r.zero, kChains);
   }
 
-  // Per-hop dispatch micro pair (best of 3 each): the undiluted cost the
-  // compiled walk replaces. The std macro row runs the full hardware
-  // model, where every completion is staggered by the DMA serializer —
-  // orchestration is a minor share of its wall time, so its ratio sits
-  // near 1.0 by construction; the zero-overhead row and this micro pair
-  // are the shapes that isolate chain execution itself.
+  // Per-hop dispatch cost (best of 3): the undiluted interpreter walk.
   const std::uint64_t kHops = fast ? 20'000'000 : 50'000'000;
-  double micro_interp = 1e9, micro_compiled = 1e9;
+  double micro_interp = 1e9;
   for (int rep = 0; rep < 3; ++rep) {
     micro_interp = std::min(micro_interp, bench::interp_hop_ns(kHops));
-    micro_compiled = std::min(micro_compiled, bench::compiled_hop_ns(kHops));
   }
 
-  stats::Table ct("Chain execution (interpreted vs compiled+batched)");
-  ct.set_header({"Workload", "interp ev/s", "compiled ev/s", "wheel ev/s",
-                 "events", "speedup"});
-  double compiled_geo = 1.0;
+  stats::Table ct("Chain execution (trace interpreter)");
+  ct.set_header({"Workload", "events/sec", "events"});
   for (const ChainRow& r : chain_rows) {
-    const double speedup = r.result.interp.secs / r.result.compiled.secs;
-    compiled_geo *= speedup;
-    ct.add_row(
-        {r.name,
-         stats::Table::fmt(static_cast<double>(r.result.interp.events) /
-                               r.result.interp.secs / 1e6,
-                           2) +
-             "M",
-         stats::Table::fmt(static_cast<double>(r.result.compiled.events) /
-                               r.result.compiled.secs / 1e6,
-                           2) +
-             "M",
-         stats::Table::fmt(static_cast<double>(r.result.wheel.events) /
-                               r.result.wheel.secs / 1e6,
-                           2) +
-             "M",
-         std::to_string(r.result.interp.events) + " -> " +
-             std::to_string(r.result.compiled.events),
-         stats::Table::fmt(speedup, 2) + "x"});
+    ct.add_row({r.name,
+                stats::Table::fmt(static_cast<double>(r.result.events) /
+                                      r.result.secs / 1e6,
+                                  2) +
+                    "M",
+                std::to_string(r.result.events)});
   }
-  const double micro_speedup = micro_interp / micro_compiled;
-  compiled_geo *= micro_speedup;
   ct.add_row({"hop dispatch (micro, ns/hop)",
-              stats::Table::fmt(micro_interp, 2),
-              stats::Table::fmt(micro_compiled, 2), "", "",
-              stats::Table::fmt(micro_speedup, 2) + "x"});
-  compiled_geo = std::pow(
-      compiled_geo, 1.0 / static_cast<double>(chain_rows.size() + 1));
-  ct.add_row(
-      {"geomean", "", "", "", "", stats::Table::fmt(compiled_geo, 2) + "x"});
+              stats::Table::fmt(micro_interp, 2), ""});
   ct.print(std::cout);
 
-  // Kernel counters from a representative run on each backend (exact
-  // pending/cancel bookkeeping is part of what the indexed calendars buy;
-  // the two backends must agree on every count).
+  // Kernel counters from a representative run (exact pending/cancel
+  // bookkeeping is part of what the indexed heap buys).
   {
-    bench::HoldBench<HeapSim> h;
+    bench::HoldBench<sim::Simulator> h;
     h.run(4096, 500'000);
-    bench::HoldBench<WheelSim> w;
-    w.run(4096, 500'000);
     stats::Table k("Kernel counters (hold, 500K events)");
-    k.set_header({"Counter", "heap", "wheel"});
+    k.set_header({"Counter", "value"});
     const sim::KernelStats& ks = h.sim.kernel_stats();
-    const sim::KernelStats& ws = w.sim.kernel_stats();
-    k.add_row({"events scheduled", std::to_string(ks.scheduled),
-               std::to_string(ws.scheduled)});
-    k.add_row({"allocs avoided", std::to_string(ks.allocs_avoided()),
-               std::to_string(ws.allocs_avoided())});
-    k.add_row({"pooled records", std::to_string(ks.pool_grown),
-               std::to_string(ws.pool_grown)});
-    k.add_row({"pending high water", std::to_string(ks.pending_high_water),
-               std::to_string(ws.pending_high_water)});
-    k.add_row({"overflow promotions", "-",
-               std::to_string(ws.overflow_promotions)});
+    k.add_row({"events scheduled", std::to_string(ks.scheduled)});
+    k.add_row({"allocs avoided", std::to_string(ks.allocs_avoided())});
+    k.add_row({"pooled records", std::to_string(ks.pool_grown)});
+    k.add_row({"pending high water", std::to_string(ks.pending_high_water)});
     k.print(std::cout);
 
     stats::CounterSet out;
     out.set("hold_events_per_sec", rows[0].heap);
     out.set("cancel_events_per_sec", rows[1].heap);
     out.set("burst_events_per_sec", rows[2].heap);
-    out.set("wheel_hold_events_per_sec", rows[0].wheel);
-    out.set("wheel_cancel_events_per_sec", rows[1].wheel);
-    out.set("wheel_burst_events_per_sec", rows[2].wheel);
     out.set("legacy_hold_events_per_sec", rows[0].legacy);
     out.set("legacy_cancel_events_per_sec", rows[1].legacy);
     out.set("legacy_burst_events_per_sec", rows[2].legacy);
     out.set("speedup_geomean", geo);
-    out.set("sched_speedup_geomean", sched_geo);
     out.set("allocs_avoided", static_cast<double>(ks.allocs_avoided()));
-    // The JSON key predates the backend-neutral rename; it still means
-    // "peak pending events" (KernelStats::pending_high_water) and keeps
-    // its name so perf-trajectory tooling sees one continuous series.
+    // The JSON key predates the KernelStats::pending_high_water rename; it
+    // keeps its name so perf-trajectory tooling sees one continuous series.
     out.set("heap_high_water", static_cast<double>(ks.pending_high_water));
-    out.set("wheel_pending_high_water",
-            static_cast<double>(ws.pending_high_water));
-    out.set("wheel_overflow_promotions",
-            static_cast<double>(ws.overflow_promotions));
     out.set("chain_std_interp_events_per_sec",
-            static_cast<double>(chain_rows[0].result.interp.events) /
-                chain_rows[0].result.interp.secs);
-    out.set("chain_std_compiled_events_per_sec",
-            static_cast<double>(chain_rows[0].result.compiled.events) /
-                chain_rows[0].result.compiled.secs);
-    out.set("chain_std_wheel_events_per_sec",
-            static_cast<double>(chain_rows[0].result.wheel.events) /
-                chain_rows[0].result.wheel.secs);
+            static_cast<double>(chain_rows[0].result.events) /
+                chain_rows[0].result.secs);
     out.set("chain_zero_interp_events_per_sec",
-            static_cast<double>(chain_rows[1].result.interp.events) /
-                chain_rows[1].result.interp.secs);
-    out.set("chain_zero_compiled_events_per_sec",
-            static_cast<double>(chain_rows[1].result.compiled.events) /
-                chain_rows[1].result.compiled.secs);
-    out.set("chain_zero_wheel_events_per_sec",
-            static_cast<double>(chain_rows[1].result.wheel.events) /
-                chain_rows[1].result.wheel.secs);
+            static_cast<double>(chain_rows[1].result.events) /
+                chain_rows[1].result.secs);
     out.set("micro_interp_hop_ns", micro_interp);
-    out.set("micro_compiled_hop_ns", micro_compiled);
-    out.set("compiled_speedup_geomean", compiled_geo);
 
     const char* path = std::getenv("AF_BENCH_KERNEL_JSON");
     const std::string file = path != nullptr ? path : "BENCH_kernel.json";

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "obs/drain_pack.h"
-
 namespace accelflow::accel {
 
 Accelerator::Accelerator(sim::Simulator& sim, const AccelParams& params,
@@ -132,121 +130,8 @@ void Accelerator::drain_overflow() {
     // the drain loop against a non-full queue.
     const SlotId slot = input_.allocate(std::move(e), /*bypass_reserve=*/true);
     assert(slot != kInvalidSlot);
-    schedule_deliver(done, slot);
+    sim_.schedule_at(done, [this, slot] { deliver_data(slot); });
   }
-}
-
-void Accelerator::set_batched_completions(bool on) {
-  for (const DrainChannel& ch : channels_) {
-    assert(ch.ring.empty() && ch.event == sim::kInvalidEventId &&
-           "mode switch requires no pending completions");
-    (void)ch;
-  }
-  batched_ = on;
-}
-
-void Accelerator::schedule_deliver(sim::TimePs when, SlotId slot) {
-  if (!batched_) {
-    sim_.schedule_at(when, [this, slot] { deliver_data(slot); });
-  } else {
-    defer_action(kActDeliver, when, slot);
-  }
-}
-
-void Accelerator::schedule_release(sim::TimePs when, SlotId slot) {
-  if (!batched_) {
-    sim_.schedule_at(when, [this, slot] { release_output(slot); });
-  } else {
-    defer_action(kActRelease, when, slot);
-  }
-}
-
-void Accelerator::apply_action(ActionKind kind, std::uint32_t arg) {
-  switch (kind) {
-    case kActPeDone:
-      on_pe_done(static_cast<int>(arg));
-      break;
-    case kActDeliver:
-      deliver_data(arg);
-      break;
-    case kActRelease:
-      release_output(arg);
-      break;
-  }
-}
-
-void Accelerator::defer_action(ActionKind kind, sim::TimePs when,
-                               std::uint32_t arg) {
-  DrainChannel& ch = channels_[kind];
-  // Same past-time policy as schedule_at(): the equivalent plain event
-  // would have fired at now() in stamp order.
-  if (when < sim_.now()) when = sim_.now();
-  const bool cluster = !ch.ring.empty() || when == ch.last_time;
-  ch.last_time = when;
-  if (!cluster) {
-    // Lone action: a plain event, exactly what the unbatched path does at
-    // this program point (see the declaration comment).
-    sim_.schedule_at(when, [this, kind, arg] { apply_action(kind, arg); });
-    return;
-  }
-  // The stamp is reserved here — the exact program point the unbatched
-  // path would have called schedule_at() — so the ring entry carries the
-  // (time, seq) key its dedicated heap event would have had.
-  const std::uint64_t seq = sim_.reserve_seq();
-  ch.ring.push(when, seq, static_cast<std::uint8_t>(kind), arg, sim_.now());
-  if (ch.draining) return;  // run_drain re-arms after its loop.
-  if (ch.event == sim::kInvalidEventId) {
-    arm_drain(kind);
-  } else if (when < ch.armed_time ||
-             (when == ch.armed_time && seq < ch.armed_seq)) {
-    // The new action became the ring minimum: move the armed event to it.
-    sim_.cancel(ch.event);
-    arm_drain(kind);
-  }
-}
-
-void Accelerator::arm_drain(ActionKind kind) {
-  DrainChannel& ch = channels_[kind];
-  const sim::DrainAction a = ch.ring.front();
-  // schedule_at_seq consumes no new stamp: the drain event impersonates
-  // the plain event the ring minimum would have been.
-  ch.event =
-      sim_.schedule_at_seq(a.time, a.seq, [this, kind] { run_drain(kind); });
-  ch.armed_time = a.time;
-  ch.armed_seq = a.seq;
-}
-
-void Accelerator::run_drain(ActionKind kind) {
-  DrainChannel& ch = channels_[kind];
-  ch.event = sim::kInvalidEventId;
-  ch.draining = true;
-  std::uint64_t width = 0;
-  sim::TimePs ring_wait = 0;
-  while (!ch.ring.empty()) {
-    const sim::DrainAction a = ch.ring.front();
-    // Yield to any foreign calendar event ordered before the next action:
-    // it would have run first in the unbatched schedule.
-    if (a.time > sim_.now() || sim_.has_event_before(a.time, a.seq)) break;
-    ch.ring.pop_front();
-    ++width;
-    ring_wait += sim_.now() - a.pushed_at;
-    apply_action(static_cast<ActionKind>(a.kind), a.arg);
-  }
-  ch.draining = false;
-  ++stats_.drain_batches;
-  stats_.drain_actions += width;
-  stats_.max_drain_width = std::max(stats_.max_drain_width, width);
-  stats_.drain_wait_time += ring_wait;
-  if (tracer_ != nullptr) {
-    // arg packs (ring residency in ps) << 16 | batch width, saturating at
-    // the field limits so offline consumers (tools/trace_summary) recover
-    // both from one instant (obs/drain_pack.h).
-    tracer_->instant(
-        obs::Subsys::kAccel, obs::SpanKind::kBatchDrain,
-        tid_base_ + kDispatcherTid, sim_.now(),
-        obs::pack_drain_arg(static_cast<std::uint64_t>(ring_wait), width));
-  }
-  if (!ch.ring.empty()) arm_drain(kind);
 }
 
 bool Accelerator::holds_chain(const core::ChainContext* ctx) const {
@@ -462,11 +347,7 @@ void Accelerator::try_dispatch() {
     }
     p.free_at = t;
     p.inflight = std::move(entry);
-    if (!batched_) {
-      sim_.schedule_at(t, [this, pe] { on_pe_done(pe); });
-    } else {
-      defer_action(kActPeDone, t, static_cast<std::uint32_t>(pe));
-    }
+    sim_.schedule_at(t, [this, pe] { on_pe_done(pe); });
   }
 }
 
@@ -493,7 +374,7 @@ void Accelerator::on_pe_done(int pe) {
   }
   deposit_output(std::move(p.inflight));
   p.busy = false;
-    ++free_pes_;
+  ++free_pes_;
   try_dispatch();
 }
 

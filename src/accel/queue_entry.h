@@ -65,13 +65,6 @@ struct QueueEntry {
   std::uint64_t seq = 0;
   /** Time the entry was enqueued (for queueing-delay stats). */
   sim::TimePs enqueued_at = 0;
-
-  /** Compiled-backend hint: ChainProgram entry index matching
-   *  (trace_word, position_mark), or -1 when unknown. Purely an index
-   *  shortcut — the executor re-derives the same block it would find by
-   *  hashing the trace word. Every site that rewrites trace_word /
-   *  position_mark must refresh or clear it. */
-  std::int32_t compiled_entry = -1;
 };
 
 }  // namespace accelflow::accel

@@ -490,9 +490,8 @@ void Datacenter::advance_to(sim::TimePs target) {
     // so a window no shard has a calendar entry in would run and merge
     // nothing — hop straight to the window holding the earliest pending
     // event (or to the target). Causally safe and deterministic for the
-    // same reason as drain_quiescent()'s hop, and cheap under either
-    // kernel backend: next_event_time() is the heap root or the wheel's
-    // cached peek (DESIGN.md §18). The skipped barriers were no-ops — no
+    // same reason as drain_quiescent()'s hop, and cheap: next_event_time()
+    // reads the calendar heap's root. The skipped barriers were no-ops — no
     // messages to merge, and a JSQ refresh with in-flight counts nothing
     // changed.
     bool wire = false;

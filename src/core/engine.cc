@@ -38,16 +38,7 @@ AccelFlowEngine::AccelFlowEngine(Machine& machine, const TraceLibrary& lib,
       mba_(machine.sim(), config.mba) {
   machine_.load_traces(lib_);
   machine_.install_output_handler(this);
-  if (config_.compile || af_compile_enabled()) {
-    // Compiled backend (DESIGN.md §15): flatten every trace once, and
-    // drain same-accelerator completions through batched rings instead of
-    // one heap event each.
-    program_ = std::make_unique<ChainProgram>(lib_);
-    machine_.set_batched_completions(true);
-  }
 }
-
-AccelFlowEngine::~AccelFlowEngine() = default;
 
 sim::TimePs AccelFlowEngine::instr_time(double instrs) const {
   // Dispatcher FSMs execute ~1 RISC instruction per cycle at the package
@@ -171,7 +162,8 @@ void AccelFlowEngine::enqueue_with_retry(ChainContext* ctx, QueueEntry entry,
   }
   arm_hop(ctx, target, entry.trace_word, entry.position_mark,
           entry.payload.size_bytes, entry.payload.format, arrive);
-  dst.schedule_deliver(arrive, slot);
+  machine_.sim().schedule_at(arrive,
+                             [&dst, slot] { dst.deliver_data(slot); });
 }
 
 void AccelFlowEngine::handle_output(accel::Accelerator& acc, SlotId slot) {
@@ -202,11 +194,6 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
   e.payload.size_bytes =
       ctx->env->transformed_size(acc.type(), e.payload.size_bytes);
 
-  // Compiled backend: replay the pre-flattened block for this entry point.
-  // Falls through to the interpreter for the (rare) hops the compiler
-  // could not flatten — execute_compiled bails before any side effect.
-  if (program_ != nullptr && execute_compiled(acc, slot, e)) return;
-
   const bool zero = config_.zero_overhead;
   double instrs = zero ? 0.0 : config_.base_instrs;
   sim::TimePs fsm_extra = 0;  // DTE occupancy.
@@ -222,8 +209,9 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
     stats_.glue_transform_ops += saw_transform;
     stats_.glue_eot_ops += saw_eot;
   };
-  auto release_at = [&acc, slot](sim::TimePs when) {
-    acc.schedule_release(when, slot);
+  auto release_at = [this, &acc, slot](sim::TimePs when) {
+    machine_.sim().schedule_at(when,
+                               [&acc, slot] { acc.release_output(slot); });
   };
   auto atm_fetch = [&](AtmAddr addr) {
     ++stats_.atm_loads;
@@ -242,7 +230,6 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
       case TraceOp::Kind::kInvoke: {
         e.trace_word = word;
         e.position_mark = op.next_pm;
-        e.compiled_entry = -1;  // Interpreter-advanced: the hint is stale.
         e.cpu_cost =
             ctx->env->op_cpu_cost(*ctx, op.accel, e.payload.size_bytes);
         record_glue();
@@ -334,7 +321,6 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
         assert(first.kind == TraceOp::Kind::kInvoke);
         e.trace_word = word;
         e.position_mark = first.next_pm;
-        e.compiled_entry = -1;  // Interpreter-advanced: the hint is stale.
         record_glue();
         const sim::TimePs fsm_done =
             zero ? ready : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra);
@@ -357,142 +343,6 @@ void AccelFlowEngine::run_dispatcher_fsm(accel::Accelerator& acc,
       }
     }
   }
-}
-
-bool AccelFlowEngine::execute_compiled(accel::Accelerator& acc, SlotId slot,
-                                       QueueEntry& e) {
-  ChainContext* ctx = e.ctx;
-  // The previous hop's block left the successor entry index in the queue
-  // entry; only a chain's first compiled hop hashes the trace word.
-  const ChainProgram::Block* b =
-      e.compiled_entry >= 0
-          ? program_->block_for(e.compiled_entry, e.payload.flags)
-          : program_->lookup(e.trace_word, e.position_mark, e.payload.flags);
-  if (b == nullptr || b->terminal == ChainProgram::Terminal::kInterpret) {
-    return false;
-  }
-  const bool zero = config_.zero_overhead;
-  // Fig. 13 ablations route branches/transforms through the stateful
-  // centralized manager (FifoServer occupancy), which a pre-compiled walk
-  // cannot replay — those hops interpret.
-  if (!zero && ((b->has_branch && !config_.dispatcher_branches) ||
-                (b->has_transform && !config_.dispatcher_transforms))) {
-    return false;
-  }
-
-  double instrs = zero ? 0.0 : config_.base_instrs;
-  sim::TimePs fsm_extra = 0;  // DTE occupancy.
-  sim::TimePs ready = machine_.sim().now();
-
-  // Replay in original trace-op order: the floating-point accumulations
-  // into `instrs`, the ATM loads, and the mid-chain notify events must hit
-  // in the exact sequence the interpreter produces.
-  for (const ChainProgram::MicroOp& m : b->ops) {
-    switch (m.kind) {
-      case ChainProgram::MicroOp::Kind::kBranch: {
-        ++ctx->branches;
-        if (!zero) instrs += config_.branch_instrs;
-        break;
-      }
-      case ChainProgram::MicroOp::Kind::kBranchAtmLoad: {
-        ++ctx->branches;
-        if (!zero) instrs += config_.branch_instrs;
-        ++stats_.atm_loads;
-        (void)machine_.atm().load(m.atm);
-        if (!zero) {
-          ready += machine_.atm().read_latency() +
-                   machine_.net().zero_load_latency(machine_.atm().location(),
-                                                    acc.location(), 8);
-        }
-        break;
-      }
-      case ChainProgram::MicroOp::Kind::kTransform: {
-        ++ctx->transforms;
-        if (!zero) {
-          instrs += config_.transform_instrs *
-                    std::clamp(static_cast<double>(e.payload.size_bytes) /
-                                   static_cast<double>(kInlineDataBytes),
-                               1.0, 2.5);
-          fsm_extra += static_cast<sim::TimePs>(
-              static_cast<double>(e.payload.size_bytes) /
-              (config_.dte_gbps * 1e9) * 1e12);
-        }
-        e.payload.format = m.to;
-        break;
-      }
-      case ChainProgram::MicroOp::Kind::kNotify: {
-        ++ctx->mid_notifies;
-        ++stats_.notifications;
-        const int core = ctx->core;
-        machine_.sim().schedule_at(
-            ready, [this, core] { machine_.cores().notify(core); });
-        break;
-      }
-      case ChainProgram::MicroOp::Kind::kTailFetch: {
-        if (!zero) instrs += config_.eot_atm_instrs;
-        ++stats_.atm_loads;
-        (void)machine_.atm().load(m.atm);
-        if (!zero) {
-          ready += machine_.atm().read_latency() +
-                   machine_.net().zero_load_latency(machine_.atm().location(),
-                                                    acc.location(), 8);
-        }
-        break;
-      }
-    }
-  }
-
-  auto record_glue = [&] {
-    if (zero) return;
-    stats_.glue_instrs.add(instrs);
-    stats_.glue_branch_ops += b->has_branch;
-    stats_.glue_transform_ops += b->has_transform;
-    stats_.glue_eot_ops += b->has_eot;
-  };
-
-  switch (b->terminal) {
-    case ChainProgram::Terminal::kInvoke: {
-      e.trace_word = b->out_word;
-      e.position_mark = b->out_pm;
-      e.compiled_entry = b->succ_entry;
-      e.cpu_cost =
-          ctx->env->op_cpu_cost(*ctx, b->accel, e.payload.size_bytes);
-      record_glue();
-      const sim::TimePs fsm_done =
-          zero ? ready : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra);
-      const sim::TimePs launch = std::max(ready, fsm_done);
-      acc.schedule_release(launch, slot);
-      forward(acc, std::move(e), b->accel, launch, /*armed_wait=*/false,
-              RemoteKind::kNone);
-      return true;
-    }
-    case ChainProgram::Terminal::kTailArmed: {
-      e.trace_word = b->out_word;
-      e.position_mark = b->out_pm;
-      e.compiled_entry = b->succ_entry;
-      record_glue();
-      const sim::TimePs fsm_done =
-          zero ? ready : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra);
-      const sim::TimePs launch = std::max(ready, fsm_done);
-      acc.schedule_release(launch, slot);
-      forward(acc, std::move(e), b->accel, launch, /*armed_wait=*/true,
-              b->wait_kind);
-      return true;
-    }
-    case ChainProgram::Terminal::kEndNotify: {
-      if (!zero) instrs += config_.eot_notify_instrs;
-      record_glue();
-      const sim::TimePs fsm_done =
-          zero ? ready : acc.occupy_dispatcher(instr_time(instrs) + fsm_extra);
-      const sim::TimePs launch = std::max(ready, fsm_done);
-      acc.schedule_release(launch, slot);
-      finish_to_cpu(acc, std::move(e), launch);
-      return true;
-    }
-    case ChainProgram::Terminal::kInterpret:
-      break;  // Unreachable: filtered above.
-  }
-  return false;
 }
 
 void AccelFlowEngine::forward(accel::Accelerator& from, QueueEntry e,

@@ -4,13 +4,11 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "accel/accelerator.h"
 #include "core/chain.h"
-#include "core/chain_program.h"
 #include "core/machine.h"
 #include "core/trace_analysis.h"
 #include "core/tenant_mba.h"
@@ -75,16 +73,6 @@ struct EngineConfig {
   bool dispatcher_branches = true;    ///< Off = Fig. 13 "Direct".
   bool dispatcher_transforms = true;  ///< Off = Fig. 13 "CntrFlow".
   bool zero_overhead = false;         ///< Fig. 14 "Ideal".
-
-  /**
-   * Compiled chain-program backend (DESIGN.md §15): dispatcher hops
-   * execute pre-flattened ChainProgram blocks and completions drain
-   * through per-accelerator batched rings. Bit-identical to the
-   * interpreter, which stays available as the differential oracle (a hop
-   * the compiler could not flatten falls back per hop). Also enabled by
-   * the AF_COMPILE=1 environment toggle.
-   */
-  bool compile = false;
 
   int enqueue_retries = 3;
   double enqueue_retry_delay_ns = 300.0;
@@ -170,7 +158,6 @@ class AccelFlowEngine : public accel::OutputHandler {
  public:
   AccelFlowEngine(Machine& machine, const TraceLibrary& lib,
                   const EngineConfig& config);
-  ~AccelFlowEngine() override;
 
   /**
    * run_trace(): begins executing the chain starting at `first` on behalf
@@ -232,16 +219,6 @@ class AccelFlowEngine : public accel::OutputHandler {
    * released once the entry has moved on.
    */
   void run_dispatcher_fsm(accel::Accelerator& acc, accel::SlotId slot);
-
-  /**
-   * Executes the compiled block for `e`'s (word, mark, flags), replaying
-   * its micro-ops in interpreter order. Returns false — before any side
-   * effect — when the hop must be interpreted instead: no compiled entry,
-   * a kInterpret block, or a Fig. 13 ablation config whose manager round
-   * trips the compiler cannot pre-resolve.
-   */
-  bool execute_compiled(accel::Accelerator& acc, accel::SlotId slot,
-                        accel::QueueEntry& e);
 
   /** Forwards `e` into `target`'s input queue via an A-DMA engine. */
   void forward(accel::Accelerator& from, accel::QueueEntry e,
@@ -336,10 +313,6 @@ class AccelFlowEngine : public accel::OutputHandler {
   const TraceLibrary& lib_;
   EngineConfig config_;
   EngineStats stats_;
-  /** Compiled chain programs; non-null iff the compiled backend is on
-   *  (EngineConfig::compile or AF_COMPILE). Immutable once built — derived
-   *  from the trace library, so it is not part of the Checkpoint. */
-  std::unique_ptr<ChainProgram> program_;
   /** Per-tenant active-trace counts, indexed by tenant id. Tenant ids are
    *  small and dense (request-engine services), so a flat array replaces
    *  the old hash map: the Section IV-D throttle check on every chain

@@ -30,13 +30,7 @@ std::array<int, accel::kNumAccelTypes> accel_chiplet_assignment(
 }
 
 Machine::Machine(const MachineConfig& config)
-    : config_(config),
-      // AF_SCHED mirrors AF_COMPILE: the env knob upgrades a default-heap
-      // config to the wheel, never the other way around.
-      sim_(config_.sched == sim::SchedBackend::kWheel ||
-                   sim::af_sched_wheel_enabled()
-               ? sim::SchedBackend::kWheel
-               : sim::SchedBackend::kHeap) {
+    : config_(config) {
   mem_ = std::make_unique<mem::MemorySystem>(sim_, config_.mem,
                                              config_.seed ^ 0x11);
   iommu_ = std::make_unique<mem::Iommu>(sim_, *mem_, config_.walk,
@@ -253,12 +247,6 @@ void Machine::set_speedup_scale(double scale) {
   config_.speedup_scale = scale;
 }
 
-void Machine::set_batched_completions(bool on) {
-  for (const AccelType t : accel::kAllAccelTypes) {
-    accels_[accel::index_of(t)]->set_batched_completions(on);
-  }
-}
-
 void Machine::set_generation(Generation g) {
   config_.apply_generation(g);
   cores_->set_speeds(config_.cpu.app_speed, config_.cpu.tax_speed);
@@ -315,8 +303,6 @@ void Machine::snapshot_metrics(obs::MetricsRegistry& reg) const {
   reg.set("sim.pending_high_water",
           static_cast<double>(sim_.kernel_stats().pending_high_water),
           Kind::kGauge);
-  reg.set("sim.overflow_promotions",
-          static_cast<double>(sim_.kernel_stats().overflow_promotions));
 }
 
 }  // namespace accelflow::core

@@ -84,17 +84,6 @@ struct MachineConfig {
    *  (DESIGN.md §19); 0 = aging off. */
   double sched_aging_quantum_us = 0.0;
 
-  /**
-   * Event-calendar backend for the machine's simulator (DESIGN.md §18):
-   * the indexed 4-ary heap (default, the differential oracle) or the
-   * hierarchical timing wheel. Like EngineConfig::compile, the AF_SCHED
-   * environment knob can only upgrade: AF_SCHED=wheel turns a kHeap
-   * config into a wheel machine; an explicit kWheel here wins regardless.
-   * Both backends are bit-identical by contract, so this never changes a
-   * result — only the wall-clock cost of reaching it.
-   */
-  sim::SchedBackend sched = sim::SchedBackend::kHeap;
-
   /** Package organization: 1, 2 (default), 3, 4 or 6 chiplets. */
   int num_chiplets = 2;
   double inter_chiplet_cycles = 60.0;  ///< Section VII-C.2 sensitivity.
@@ -290,14 +279,6 @@ class Machine {
 
   /** Applies a processor generation's core speed factors (Fig. 20). */
   void set_generation(Generation g);
-
-  /**
-   * Switches every accelerator between one-heap-event-per-completion and
-   * the batched pending-completion ring (DESIGN.md §15). The compiled
-   * engine backend turns this on at construction; only legal while no
-   * completion is pending.
-   */
-  void set_batched_completions(bool on);
 
  private:
   MachineConfig config_;

@@ -1,10 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "sim/snapshot.h"
@@ -31,22 +28,6 @@ EventId encode_id(std::uint32_t slot, std::uint32_t gen) {
 
 }  // namespace
 
-bool af_sched_wheel_enabled() {
-  const char* v = std::getenv("AF_SCHED");
-  return v != nullptr && std::strcmp(v, "wheel") == 0;
-}
-
-Simulator::Simulator()
-    : Simulator(af_sched_wheel_enabled() ? SchedBackend::kWheel
-                                         : SchedBackend::kHeap) {}
-
-Simulator::Simulator(SchedBackend backend) : backend_(backend) {
-  if (backend_ == SchedBackend::kWheel) {
-    bucket_head_.assign(kWheelLevels * kWheelSlots, kNoSlot);
-    bucket_bits_.assign(kWheelLevels * (kWheelSlots / 64), 0);
-  }
-}
-
 std::uint32_t Simulator::alloc_slot() {
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
@@ -60,8 +41,7 @@ std::uint32_t Simulator::alloc_slot() {
   return slot;
 }
 
-EventId Simulator::schedule_with_seq(TimePs t, std::uint64_t seq,
-                                     Callback cb) {
+EventId Simulator::schedule_at(TimePs t, Callback cb) {
   assert(t >= now_ && "cannot schedule in the past");
   if (t < now_) {
     // Release-build policy: clamp to now() — the event runs after the
@@ -74,63 +54,27 @@ EventId Simulator::schedule_with_seq(TimePs t, std::uint64_t seq,
   Event& ev = pool_[slot];
   ev.cb = std::move(cb);
 
-  std::size_t pending;
-  if (backend_ == SchedBackend::kHeap) {
-    ev.heap_pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(HeapEntry{t, seq, slot});
-    sift_up(heap_.size() - 1);
-    pending = heap_.size();
-  } else {
-    ev.time = t;
-    ev.seq = seq;
-    wheel_place(slot);
-    pending = ++wheel_pending_;
-    if (peek_valid_ &&
-        (t < peek_time_ || (t == peek_time_ && seq < peek_seq_))) {
-      peek_time_ = t;
-      peek_seq_ = seq;
-    }
-  }
+  ev.heap_pos = static_cast<std::uint32_t>(heap_.size());
+  heap_.push_back(HeapEntry{t, next_seq_++, slot});
+  sift_up(heap_.size() - 1);
 
   ++kstats_.scheduled;
-  if (pending > kstats_.pending_high_water) {
-    kstats_.pending_high_water = pending;
+  if (heap_.size() > kstats_.pending_high_water) {
+    kstats_.pending_high_water = heap_.size();
   }
   return encode_id(slot, ev.gen);
-}
-
-EventId Simulator::schedule_at(TimePs t, Callback cb) {
-  return schedule_with_seq(t, next_seq_++, std::move(cb));
-}
-
-EventId Simulator::schedule_at_seq(TimePs t, std::uint64_t seq,
-                                   Callback cb) {
-  assert(seq < next_seq_ && "stamp must come from reserve_seq()");
-  return schedule_with_seq(t, seq, std::move(cb));
 }
 
 bool Simulator::cancel(EventId id) {
   std::uint32_t slot, gen;
   if (!decode_id(id, pool_.size(), &slot, &gen)) return false;
   Event& ev = pool_[slot];
-  if (backend_ == SchedBackend::kHeap) {
-    // A stale generation means the event already ran or was already
-    // cancelled (the slot has been recycled since the id was minted).
-    if (ev.gen != gen || ev.heap_pos == kNoSlot) return false;
-    ev.cb.reset();
-    unlink_from_heap(slot);
-    recycle(slot);
-    ++kstats_.cancelled;
-    return true;
-  }
-  if (ev.gen != gen || ev.bucket == kNoBucket) return false;
+  // A stale generation means the event already ran or was already
+  // cancelled (the slot has been recycled since the id was minted).
+  if (ev.gen != gen || ev.heap_pos == kNoSlot) return false;
   ev.cb.reset();
-  if (peek_valid_ && ev.time == peek_time_ && ev.seq == peek_seq_) {
-    peek_valid_ = false;  // The cached minimum is the one leaving.
-  }
-  wheel_unlink(slot);
+  unlink_from_heap(slot);
   recycle(slot);
-  --wheel_pending_;
   ++kstats_.cancelled;
   return true;
 }
@@ -198,311 +142,19 @@ void Simulator::recycle(std::uint32_t slot) {
   free_head_ = slot;
 }
 
-// ---------------------------------------------------------------------------
-// Wheel backend (DESIGN.md §18).
-//
-// Tick = time >> kTickShift. Level l covers slots of 2^(kSlotBits*l) ticks;
-// an event lands on the *smallest* level whose current window (the aligned
-// 2^(kSlotBits*(l+1))-tick span containing cur_tick_) contains its tick —
-// computed from the highest bit where the ticks differ. Events at or before
-// cur_tick_ go straight to the sorted ready ring. Advancing jumps cur_tick_
-// to the next occupied slot: an L0 slot drains into the ring (sorted once),
-// an outer-level slot cascades its events down (each re-placed relative to
-// the new cur_tick_), and when every level is empty the overflow tier's
-// earliest top-level window is promoted. Scan order — ring, L0 beyond the
-// current index, L1..L3 beyond theirs, overflow — visits disjoint,
-// increasing tick ranges, which is what makes the (time, seq) pop order
-// bit-identical to the heap's.
-// ---------------------------------------------------------------------------
-
-void Simulator::bucket_push(std::uint32_t b, std::uint32_t slot) {
-  Event& ev = pool_[slot];
-  ev.bucket = b;
-  ev.prev = kNoSlot;
-  ev.next = bucket_head_[b];
-  if (ev.next != kNoSlot) pool_[ev.next].prev = slot;
-  bucket_head_[b] = slot;
-  bucket_bits_[b >> 6] |= std::uint64_t{1} << (b & 63);
-}
-
-void Simulator::ring_insert(std::uint32_t slot) {
-  const Event& ev = pool_[slot];
-  // Insert from the back: almost every same-tick schedule lands last
-  // (monotonic seq), so this is O(1) in the common case.
-  std::size_t pos = ring_.size();
-  while (pos > ring_head_ &&
-         (ring_[pos - 1].time > ev.time ||
-          (ring_[pos - 1].time == ev.time && ring_[pos - 1].seq > ev.seq))) {
-    --pos;
-  }
-  ring_.insert(ring_.begin() + static_cast<std::ptrdiff_t>(pos),
-               RingEntry{ev.time, ev.seq, slot});
-}
-
-void Simulator::wheel_place(std::uint32_t slot) {
-  Event& ev = pool_[slot];
-  const std::uint64_t tick = ev.time >> kTickShift;
-  if (tick <= cur_tick_) {
-    ev.bucket = kRingBucket;
-    ring_insert(slot);
-    return;
-  }
-  const unsigned level =
-      static_cast<unsigned>(std::bit_width(tick ^ cur_tick_) - 1) / kSlotBits;
-  if (level >= kWheelLevels) {
-    // Beyond the wheel span: far-future overflow list (O(1) push; walked
-    // only when the whole wheel runs dry).
-    ev.bucket = kOverflowBucket;
-    ev.prev = kNoSlot;
-    ev.next = overflow_head_;
-    if (ev.next != kNoSlot) pool_[ev.next].prev = slot;
-    overflow_head_ = slot;
-    return;
-  }
-  const std::uint32_t idx = static_cast<std::uint32_t>(
-      (tick >> (kSlotBits * level)) & (kWheelSlots - 1));
-  bucket_push(static_cast<std::uint32_t>(level * kWheelSlots) + idx, slot);
-}
-
-void Simulator::wheel_unlink(std::uint32_t slot) {
-  Event& ev = pool_[slot];
-  if (ev.bucket == kRingBucket) {
-    for (std::size_t i = ring_head_; i < ring_.size(); ++i) {
-      if (ring_[i].slot == slot) {
-        ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-    }
-  } else if (ev.bucket == kOverflowBucket) {
-    if (ev.prev != kNoSlot) {
-      pool_[ev.prev].next = ev.next;
-    } else {
-      overflow_head_ = ev.next;
-    }
-    if (ev.next != kNoSlot) pool_[ev.next].prev = ev.prev;
-  } else {
-    const std::uint32_t b = ev.bucket;
-    if (ev.prev != kNoSlot) {
-      pool_[ev.prev].next = ev.next;
-    } else {
-      bucket_head_[b] = ev.next;
-    }
-    if (ev.next != kNoSlot) pool_[ev.next].prev = ev.prev;
-    if (bucket_head_[b] == kNoSlot) {
-      bucket_bits_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    }
-  }
-  ev.bucket = kNoBucket;
-}
-
-void Simulator::drain_bucket(std::uint32_t b) {
-  assert(ring_head_ == ring_.size() && "ring must be empty before a drain");
-  ring_.clear();
-  ring_head_ = 0;
-  for (std::uint32_t s = bucket_head_[b]; s != kNoSlot;) {
-    Event& ev = pool_[s];
-    const std::uint32_t next = ev.next;
-    ev.bucket = kRingBucket;
-    ring_.push_back(RingEntry{ev.time, ev.seq, s});
-    s = next;
-  }
-  bucket_head_[b] = kNoSlot;
-  bucket_bits_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-  // One sort per tick-run replaces the heap's per-event sifts; runs are
-  // short (events sharing a 64ps tick), so this is the cheap side of the
-  // trade by a wide margin.
-  std::sort(ring_.begin(), ring_.end(),
-            [](const RingEntry& a, const RingEntry& c) {
-              if (a.time != c.time) return a.time < c.time;
-              return a.seq < c.seq;
-            });
-}
-
-void Simulator::cascade_bucket(std::uint32_t b) {
-  std::uint32_t s = bucket_head_[b];
-  bucket_head_[b] = kNoSlot;
-  bucket_bits_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-  while (s != kNoSlot) {
-    const std::uint32_t next = pool_[s].next;
-    wheel_place(s);  // Relative to the freshly advanced cur_tick_.
-    s = next;
-  }
-}
-
-void Simulator::promote_overflow() {
-  assert(overflow_head_ != kNoSlot);
-  std::uint64_t min_tick = ~std::uint64_t{0};
-  for (std::uint32_t s = overflow_head_; s != kNoSlot; s = pool_[s].next) {
-    min_tick = std::min(min_tick, pool_[s].time >> kTickShift);
-  }
-  cur_tick_ = min_tick;
-  // Pull everything sharing the earliest top-level window; the rest stays
-  // put until time crosses into its own window.
-  const std::uint64_t window = min_tick >> (kSlotBits * kWheelLevels);
-  std::uint32_t s = overflow_head_;
-  while (s != kNoSlot) {
-    Event& ev = pool_[s];
-    const std::uint32_t next = ev.next;
-    if ((ev.time >> kTickShift) >> (kSlotBits * kWheelLevels) == window) {
-      if (ev.prev != kNoSlot) {
-        pool_[ev.prev].next = ev.next;
-      } else {
-        overflow_head_ = ev.next;
-      }
-      if (ev.next != kNoSlot) pool_[ev.next].prev = ev.prev;
-      wheel_place(s);
-      ++kstats_.overflow_promotions;
-    }
-    s = next;
-  }
-}
-
-int Simulator::next_occupied(unsigned level, std::size_t from) const {
-  if (from >= kWheelSlots) return -1;
-  const std::uint64_t* bits = &bucket_bits_[level * (kWheelSlots / 64)];
-  std::size_t w = from >> 6;
-  const std::uint64_t first = bits[w] >> (from & 63);
-  if (first != 0) {
-    return static_cast<int>(from) + std::countr_zero(first);
-  }
-  for (++w; w < kWheelSlots / 64; ++w) {
-    if (bits[w] != 0) {
-      return static_cast<int>(w * 64) + std::countr_zero(bits[w]);
-    }
-  }
-  return -1;
-}
-
-bool Simulator::wheel_advance() {
-  for (;;) {
-    if (ring_head_ != ring_.size()) return true;
-    // Nearest level first: the first occupied slot in scan order holds
-    // the globally earliest events (level-l slots beyond the current
-    // index cover strictly earlier ticks than any outer-level slot
-    // beyond its index).
-    {
-      const std::size_t idx = cur_tick_ & (kWheelSlots - 1);
-      const int s = next_occupied(0, idx + 1);
-      if (s >= 0) {
-        cur_tick_ = (cur_tick_ & ~std::uint64_t{kWheelSlots - 1}) |
-                    static_cast<std::uint64_t>(s);
-        drain_bucket(static_cast<std::uint32_t>(s));
-        return true;
-      }
-    }
-    bool cascaded = false;
-    for (unsigned l = 1; l < kWheelLevels; ++l) {
-      const std::size_t idx = (cur_tick_ >> (kSlotBits * l)) &
-                              (kWheelSlots - 1);
-      const int s = next_occupied(l, idx + 1);
-      if (s < 0) continue;
-      // Enter the slot's window: keep the outer bits, set this level's
-      // index, zero everything inner, then re-place the slot's events.
-      const std::uint64_t low =
-          (std::uint64_t{1} << (kSlotBits * (l + 1))) - 1;
-      cur_tick_ = (cur_tick_ & ~low) |
-                  (static_cast<std::uint64_t>(s) << (kSlotBits * l));
-      cascade_bucket(static_cast<std::uint32_t>(l * kWheelSlots) +
-                     static_cast<std::uint32_t>(s));
-      cascaded = true;
-      break;
-    }
-    if (cascaded) continue;
-    if (overflow_head_ == kNoSlot) return false;
-    promote_overflow();
-  }
-}
-
-bool Simulator::refresh_peek() const {
-  if (ring_head_ != ring_.size()) {
-    peek_time_ = ring_[ring_head_].time;
-    peek_seq_ = ring_[ring_head_].seq;
-    peek_valid_ = true;
-    return true;
-  }
-  // Same scan order as wheel_advance(), but read-only: the first occupied
-  // slot holds the minimum; a slot's list is unsorted, so take its min.
-  for (unsigned l = 0; l < kWheelLevels; ++l) {
-    const std::size_t idx = (cur_tick_ >> (kSlotBits * l)) &
-                            (kWheelSlots - 1);
-    const int s = next_occupied(l, idx + 1);
-    if (s < 0) continue;
-    const std::uint32_t b = static_cast<std::uint32_t>(l * kWheelSlots) +
-                            static_cast<std::uint32_t>(s);
-    bool found = false;
-    for (std::uint32_t e = bucket_head_[b]; e != kNoSlot;
-         e = pool_[e].next) {
-      const Event& ev = pool_[e];
-      if (!found || ev.time < peek_time_ ||
-          (ev.time == peek_time_ && ev.seq < peek_seq_)) {
-        peek_time_ = ev.time;
-        peek_seq_ = ev.seq;
-        found = true;
-      }
-    }
-    peek_valid_ = true;
-    return true;
-  }
-  if (overflow_head_ == kNoSlot) return false;
-  bool found = false;
-  for (std::uint32_t e = overflow_head_; e != kNoSlot; e = pool_[e].next) {
-    const Event& ev = pool_[e];
-    if (!found || ev.time < peek_time_ ||
-        (ev.time == peek_time_ && ev.seq < peek_seq_)) {
-      peek_time_ = ev.time;
-      peek_seq_ = ev.seq;
-      found = true;
-    }
-  }
-  peek_valid_ = true;
-  return true;
-}
-
 bool Simulator::step() {
-  if (backend_ == SchedBackend::kHeap) {
-    if (heap_.empty()) return false;
-    const std::uint32_t slot = heap_[0].slot;
-    Event& ev = pool_[slot];
-    assert(heap_[0].time >= now_);
-    now_ = heap_[0].time;
-    if (probe_ != nullptr) probe_->on_event(now_);
-    // Move the callback out and free the record *before* invoking, so the
-    // callback can freely schedule (possibly reusing this very slot) or
-    // grow the pool without invalidating anything we still hold.
-    Callback cb = std::move(ev.cb);
-    unlink_from_heap(slot);
-    recycle(slot);
-    ++executed_;
-    cb();
-    return true;
-  }
-
-  if (ring_head_ == ring_.size() && !wheel_advance()) return false;
-  const RingEntry fr = ring_[ring_head_];
-  ++ring_head_;
-  if (ring_head_ == ring_.size()) {
-    ring_.clear();
-    ring_head_ = 0;
-  } else if (ring_head_ >= 1024) {
-    ring_.erase(ring_.begin(),
-                ring_.begin() + static_cast<std::ptrdiff_t>(ring_head_));
-    ring_head_ = 0;
-  }
-  Event& ev = pool_[fr.slot];
-  assert(fr.time >= now_);
-  now_ = fr.time;
+  if (heap_.empty()) return false;
+  const std::uint32_t slot = heap_[0].slot;
+  Event& ev = pool_[slot];
+  assert(heap_[0].time >= now_);
+  now_ = heap_[0].time;
   if (probe_ != nullptr) probe_->on_event(now_);
+  // Move the callback out and free the record *before* invoking, so the
+  // callback can freely schedule (possibly reusing this very slot) or
+  // grow the pool without invalidating anything we still hold.
   Callback cb = std::move(ev.cb);
-  ev.bucket = kNoBucket;
-  recycle(fr.slot);
-  --wheel_pending_;
-  if (ring_head_ != ring_.size()) {
-    peek_time_ = ring_[ring_head_].time;
-    peek_seq_ = ring_[ring_head_].seq;
-    peek_valid_ = true;
-  } else {
-    peek_valid_ = false;
-  }
+  unlink_from_heap(slot);
+  recycle(slot);
   ++executed_;
   cb();
   return true;
@@ -518,52 +170,21 @@ std::uint64_t Simulator::run() {
 std::uint64_t Simulator::run_until(TimePs t) {
   stopped_ = false;
   std::uint64_t n = 0;
-  if (backend_ == SchedBackend::kHeap) {
-    while (!stopped_ && !heap_.empty() && heap_[0].time <= t) {
-      step();
-      ++n;
-    }
-  } else {
-    while (!stopped_) {
-      if (ring_head_ == ring_.size() && !wheel_advance()) break;
-      if (ring_[ring_head_].time > t) break;
-      step();
-      ++n;
-    }
+  while (!stopped_ && !heap_.empty() && heap_[0].time <= t) {
+    step();
+    ++n;
   }
   if (!stopped_ && now_ < t) now_ = t;
   return n;
 }
 
 void Simulator::checkpoint(Snapshot& out) const {
-  // Canonical calendar form, shared by both backends: the flat pending
-  // list sorted by (time, seq). A sorted array is a valid min-heap, so a
-  // heap restore adopts it directly, and a wheel restore re-places each
-  // entry — which is what lets a snapshot cross backends (DESIGN.md §18).
+  // Canonical calendar form: the flat pending list sorted by (time, seq).
+  // A sorted array is a valid min-heap, so restore adopts it directly.
   out.heap.clear();
-  if (backend_ == SchedBackend::kHeap) {
-    out.heap.reserve(heap_.size());
-    for (const HeapEntry& he : heap_) {
-      out.heap.push_back(Snapshot::CalendarEntry{he.time, he.seq, he.slot});
-    }
-  } else {
-    out.heap.reserve(wheel_pending_);
-    for (std::size_t i = ring_head_; i < ring_.size(); ++i) {
-      out.heap.push_back(Snapshot::CalendarEntry{
-          ring_[i].time, ring_[i].seq, ring_[i].slot});
-    }
-    for (std::uint32_t b = 0; b < kWheelLevels * kWheelSlots; ++b) {
-      for (std::uint32_t s = bucket_head_[b]; s != kNoSlot;
-           s = pool_[s].next) {
-        out.heap.push_back(
-            Snapshot::CalendarEntry{pool_[s].time, pool_[s].seq, s});
-      }
-    }
-    for (std::uint32_t s = overflow_head_; s != kNoSlot; s = pool_[s].next) {
-      out.heap.push_back(
-          Snapshot::CalendarEntry{pool_[s].time, pool_[s].seq, s});
-    }
-    assert(out.heap.size() == wheel_pending_);
+  out.heap.reserve(heap_.size());
+  for (const HeapEntry& he : heap_) {
+    out.heap.push_back(Snapshot::CalendarEntry{he.time, he.seq, he.slot});
   }
   std::sort(out.heap.begin(), out.heap.end(),
             [](const Snapshot::CalendarEntry& a,
@@ -573,7 +194,7 @@ void Simulator::checkpoint(Snapshot& out) const {
             });
 
   // EventRecord.heap_pos carries the canonical flat index (kNoSlot for
-  // free slots) — a backend-neutral pending marker.
+  // free slots), which is also the restored heap position.
   std::vector<std::uint32_t> flat_pos(pool_.size(), kNoSlot);
   for (std::size_t i = 0; i < out.heap.size(); ++i) {
     flat_pos[out.heap[i].slot] = static_cast<std::uint32_t>(i);
@@ -603,7 +224,6 @@ void Simulator::checkpoint(Snapshot& out) const {
   out.stats_clamped = kstats_.clamped_past;
   out.stats_pool_grown = kstats_.pool_grown;
   out.stats_pending_high = kstats_.pending_high_water;
-  out.stats_overflow_promotions = kstats_.overflow_promotions;
 }
 
 void Simulator::restore(const Snapshot& snap) {
@@ -615,36 +235,17 @@ void Simulator::restore(const Snapshot& snap) {
     ev.gen = rec.gen;
     ev.heap_pos = kNoSlot;
     ev.next_free = rec.next_free;
-    ev.bucket = kNoBucket;
     if (rec.heap_pos != kNoSlot) ev.cb = rec.cb.clone();
   }
   now_ = snap.now;
+  // The canonical entries are (time, seq)-sorted, which is already a
+  // valid min-heap: adopt verbatim, flat index = heap position.
   heap_.clear();
-  ring_.clear();
-  ring_head_ = 0;
-  overflow_head_ = kNoSlot;
-  wheel_pending_ = 0;
-  peek_valid_ = false;
-  if (backend_ == SchedBackend::kHeap) {
-    // The canonical entries are (time, seq)-sorted, which is already a
-    // valid min-heap: adopt verbatim, flat index = heap position.
-    heap_.reserve(snap.heap.size());
-    for (std::size_t i = 0; i < snap.heap.size(); ++i) {
-      const Snapshot::CalendarEntry& ce = snap.heap[i];
-      heap_.push_back(HeapEntry{ce.time, ce.seq, ce.slot});
-      pool_[ce.slot].heap_pos = static_cast<std::uint32_t>(i);
-    }
-  } else {
-    std::fill(bucket_head_.begin(), bucket_head_.end(), kNoSlot);
-    std::fill(bucket_bits_.begin(), bucket_bits_.end(), 0);
-    cur_tick_ = now_ >> kTickShift;
-    for (const Snapshot::CalendarEntry& ce : snap.heap) {
-      Event& ev = pool_[ce.slot];
-      ev.time = ce.time;
-      ev.seq = ce.seq;
-      wheel_place(ce.slot);
-      ++wheel_pending_;
-    }
+  heap_.reserve(snap.heap.size());
+  for (std::size_t i = 0; i < snap.heap.size(); ++i) {
+    const Snapshot::CalendarEntry& ce = snap.heap[i];
+    heap_.push_back(HeapEntry{ce.time, ce.seq, ce.slot});
+    pool_[ce.slot].heap_pos = static_cast<std::uint32_t>(i);
   }
   next_seq_ = snap.next_seq;
   executed_ = snap.executed;
@@ -655,7 +256,6 @@ void Simulator::restore(const Snapshot& snap) {
   kstats_.clamped_past = snap.stats_clamped;
   kstats_.pool_grown = snap.stats_pool_grown;
   kstats_.pending_high_water = snap.stats_pending_high;
-  kstats_.overflow_promotions = snap.stats_overflow_promotions;
 }
 
 }  // namespace accelflow::sim

@@ -21,17 +21,11 @@
  *  - Callbacks are InlineCallback: no heap allocation per event.
  *  - Events live in a pooled slab, recycled through a free list; steady
  *    state allocates nothing.
- *  - Two calendar backends behind one contract (DESIGN.md §18):
- *    - SchedBackend::kHeap — an index-tracked 4-ary heap: flatter than a
- *      binary heap (fewer cache misses per sift) and, because every record
- *      knows its heap position, cancel() is a true O(log n) eviction
- *      instead of a lazy tombstone.
- *    - SchedBackend::kWheel — a hierarchical timing wheel (256-slot levels
- *      over 64ps ticks, far-future overflow list): schedule/fire/cancel are
- *      O(1) amortized, with per-slot runs sorted on drain so the global
- *      (time, seq) firing order is bit-identical to the heap's.
- *    Select with AF_SCHED=wheel|heap; the heap is the differential oracle.
- *    pending_events() is exact under both (cancel removes immediately).
+ *  - The calendar is an index-tracked 4-ary heap: flatter than a binary
+ *    heap (fewer cache misses per sift) and, because every record knows
+ *    its heap position, cancel() is a true O(log n) eviction instead of a
+ *    lazy tombstone, so pending_events() is exact. DESIGN.md §15 records
+ *    why this is the only calendar.
  *  - EventIds carry a generation stamp, so a stale id (slot since recycled)
  *    can never cancel an unrelated event.
  */
@@ -51,41 +45,13 @@ using EventId = std::uint64_t;
 /** Sentinel returned for events that can never be cancelled. */
 inline constexpr EventId kInvalidEventId = 0;
 
-/**
- * Calendar backend selector (DESIGN.md §18).
- *
- * Both backends honor the same observable contract — (time, seq) firing
- * order, true cancel, exact pending counts, checkpoint/restore — so any
- * run is bit-identical under either. The heap is the reference
- * implementation ("differential oracle"); the wheel is the O(1) fast path.
- */
-enum class SchedBackend : std::uint8_t {
-  kHeap = 0,   ///< Indexed 4-ary min-heap (reference implementation).
-  kWheel = 1,  ///< Hierarchical timing wheel + far-future overflow tier.
-};
-
-/**
- * True when AF_SCHED=wheel is set in the environment. Mirrors the
- * AF_COMPILE playbook: the env knob can only *upgrade* a default-heap
- * config to the wheel (core::Machine and the default Simulator
- * constructor honor it); an explicit Simulator(SchedBackend) pins the
- * backend regardless, which is what the differential tests use.
- */
-bool af_sched_wheel_enabled();
-
 /** Kernel throughput counters (exported by bench_kernel_events). */
 struct KernelStats {
   std::uint64_t scheduled = 0;       ///< Total schedule_at/after calls.
   std::uint64_t cancelled = 0;       ///< Successful cancel() evictions.
   std::uint64_t clamped_past = 0;    ///< schedule_at with t < now (clamped).
   std::uint64_t pool_grown = 0;      ///< Event records ever allocated.
-  /** Max simultaneous pending events, whichever backend holds them (heap
-   *  entries or wheel bucket/ring/overflow occupancy). */
-  std::size_t pending_high_water = 0;
-  /** Far-future events pulled from the overflow tier into the wheel when
-   *  simulated time crossed into their top-level window (wheel backend
-   *  only; 0 under the heap). */
-  std::uint64_t overflow_promotions = 0;
+  std::size_t pending_high_water = 0;  ///< Max simultaneous pending events.
 
   /**
    * Heap allocations avoided versus the classic std::function-per-event
@@ -127,17 +93,10 @@ class Simulator {
   /** The callable type the calendar stores (allocation-free). */
   using Callback = InlineCallback;
 
-  /** Creates an empty calendar at time 0. The backend comes from the
-   *  environment: the wheel when AF_SCHED=wheel, the heap otherwise. */
-  Simulator();
-  /** Creates an empty calendar pinned to `backend`, ignoring AF_SCHED
-   *  (the differential tests force each side this way). */
-  explicit Simulator(SchedBackend backend);
+  /** Creates an empty calendar at time 0. */
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /** The calendar backend this instance runs on. */
-  SchedBackend backend() const { return backend_; }
 
   /** Current simulated time. */
   TimePs now() const { return now_; }
@@ -158,44 +117,7 @@ class Simulator {
   }
 
   /**
-   * Consumes and returns the next insertion stamp without scheduling
-   * anything. Pairs with schedule_at_seq(): a model can reserve the exact
-   * tie-break position an event *would* have received from schedule_at()
-   * here, defer the actual calendar insertion (e.g. into a batching ring),
-   * and later materialise one representative calendar event at the
-   * reserved stamp — the run replays in the order the plain
-   * one-event-per-action schedule would have produced (see
-   * sim/drain_ring.h).
-   */
-  std::uint64_t reserve_seq() { return next_seq_++; }
-
-  /**
-   * Schedules `cb` at absolute time `t` with an explicit insertion stamp
-   * previously obtained from reserve_seq(). Does not advance the stamp
-   * counter. Same past-time policy as schedule_at(). The caller must not
-   * reuse a stamp for two simultaneously pending events (ordering between
-   * them would be unspecified).
-   */
-  EventId schedule_at_seq(TimePs t, std::uint64_t seq, Callback cb);
-
-  /**
-   * True when some pending calendar entry fires strictly before the key
-   * (t, seq) — i.e. a plain event scheduled with that stamp would *not* be
-   * the next to run. Lets a batch drain detect foreign events interleaved
-   * between its deferred actions and yield to them (see sim/drain_ring.h).
-   * This is the drain loop's hot probe: the heap reads its root; the wheel
-   * serves it from a cached earliest-pending key (refreshed lazily).
-   */
-  bool has_event_before(TimePs t, std::uint64_t seq) const {
-    if (backend_ == SchedBackend::kHeap) {
-      return !heap_.empty() && earlier(heap_[0], HeapEntry{t, seq, 0});
-    }
-    if (!peek_valid_ && !refresh_peek()) return false;
-    return peek_time_ < t || (peek_time_ == t && peek_seq_ < seq);
-  }
-
-  /**
-   * Cancels a pending event: O(log n) heap eviction, O(1) wheel unlink.
+   * Cancels a pending event: an O(log n) heap eviction.
    *
    * @return true if the event was pending and is now cancelled; false if it
    *         already ran, was already cancelled, or the id is invalid
@@ -219,11 +141,9 @@ class Simulator {
   /** Requests that run()/run_until() return after the current event. */
   void stop() { stopped_ = true; }
 
-  /** Number of events currently pending (exact under both backends:
-   *  cancelled events leave the calendar immediately). */
-  std::size_t pending_events() const {
-    return backend_ == SchedBackend::kHeap ? heap_.size() : wheel_pending_;
-  }
+  /** Number of events currently pending (exact: cancelled events leave
+   *  the calendar immediately). */
+  std::size_t pending_events() const { return heap_.size(); }
 
   /**
    * Absolute time of the earliest pending event, or `kNoEvent` when the
@@ -234,11 +154,7 @@ class Simulator {
   static constexpr TimePs kNoEvent = ~TimePs{0};
   /** See kNoEvent. */
   TimePs next_event_time() const {
-    if (backend_ == SchedBackend::kHeap) {
-      return heap_.empty() ? kNoEvent : heap_[0].time;
-    }
-    if (!peek_valid_ && !refresh_peek()) return kNoEvent;
-    return peek_time_;
+    return heap_.empty() ? kNoEvent : heap_[0].time;
   }
 
   /** Total events executed so far. */
@@ -263,10 +179,8 @@ class Simulator {
    * capture such callbacks as empty. The probe pointer is not captured:
    * observers are attached per run, not per state.
    *
-   * The calendar is serialized in canonical form — the flat pending-event
-   * list sorted by (time, seq) — under both backends, so a snapshot taken
-   * under either backend restores into either (the cross-backend fork is
-   * part of the differential-oracle contract, DESIGN.md §18).
+   * The calendar is serialized in canonical form: the flat pending-event
+   * list sorted by (time, seq).
    */
   void checkpoint(Snapshot& out) const;
 
@@ -274,54 +188,22 @@ class Simulator {
    * Restores state captured by checkpoint(), in place. The snapshot is
    * not consumed: callbacks are cloned again on every restore, so one
    * snapshot can seed any number of forked runs. After restore the next
-   * run_until() continues bit-identically to the original run. A heap
-   * restore adopts the sorted entries directly (a (time, seq)-sorted
-   * array is a valid min-heap); a wheel restore re-places every entry
-   * into buckets relative to the captured time.
+   * run_until() continues bit-identically to the original run. Restore
+   * adopts the sorted entries directly: a (time, seq)-sorted array is a
+   * valid min-heap.
    */
   void restore(const Snapshot& snap);
-
-  /**
-   * Span of the wheel's in-bucket future: events later than now by this
-   * much or more start on the overflow tier and are promoted when time
-   * crosses into their top-level window (kernel_stats().
-   * overflow_promotions counts those). 2^(6+4*8) ps ≈ 0.27 simulated
-   * seconds — watchdogs, DMA completions and armed timeouts all land far
-   * inside it.
-   */
-  static constexpr TimePs kWheelSpanPs = TimePs{1} << 38;
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  // Wheel geometry (DESIGN.md §18): 64ps ticks, 256 slots per level,
-  // 4 levels; level l slot width = 2^(6+8l) ps.
-  static constexpr unsigned kTickShift = 6;        ///< log2(ps per tick).
-  static constexpr unsigned kSlotBits = 8;         ///< log2(slots/level).
-  static constexpr std::size_t kWheelSlots = std::size_t{1} << kSlotBits;
-  static constexpr unsigned kWheelLevels = 4;      ///< In-bucket levels.
-  /** Bucket tags stored in Event::bucket for events not in a level
-   *  bucket: in the sorted ready ring / on the overflow list / not
-   *  pending at all. Distinct from any real bucket index (< 1024). */
-  static constexpr std::uint32_t kNoBucket = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kRingBucket = 0xFFFFFFFEu;
-  static constexpr std::uint32_t kOverflowBucket = 0xFFFFFFFDu;
-
-  /** One pooled event record (callback + slot bookkeeping). Under the
-   *  heap backend the ordering key lives in the heap entry, not here:
-   *  sift comparisons then touch only the contiguous heap array, never
-   *  the scattered pool. The wheel backend keys and links events through
-   *  the record itself (intrusive doubly-linked bucket lists), which is
-   *  what makes cancel a pointer splice. */
+  /** One pooled event record (callback + slot bookkeeping). The ordering
+   *  key lives in the heap entry, not here: sift comparisons then touch
+   *  only the contiguous heap array, never the scattered pool. */
   struct Event {
     std::uint32_t gen = 1;  ///< Bumped on every recycle.
     std::uint32_t heap_pos = kNoSlot;  ///< Index into heap_; kNoSlot = free.
     std::uint32_t next_free = kNoSlot;
-    TimePs time = 0;        ///< Fire time (wheel backend).
-    std::uint64_t seq = 0;  ///< Insertion stamp (wheel backend).
-    std::uint32_t prev = kNoSlot;    ///< Bucket list link (wheel backend).
-    std::uint32_t next = kNoSlot;    ///< Bucket list link (wheel backend).
-    std::uint32_t bucket = kNoBucket;  ///< Bucket index or tag (wheel).
     Callback cb;
   };
 
@@ -329,13 +211,6 @@ class Simulator {
   struct HeapEntry {
     TimePs time;        ///< Fire time.
     std::uint64_t seq;  ///< Monotonic insertion stamp: the tie-breaker.
-    std::uint32_t slot; ///< Pool record holding the callback.
-  };
-
-  /** A ready-ring entry: an event whose tick has been reached, ordered. */
-  struct RingEntry {
-    TimePs time;        ///< Fire time.
-    std::uint64_t seq;  ///< Insertion stamp (tie-breaker).
     std::uint32_t slot; ///< Pool record holding the callback.
   };
 
@@ -357,44 +232,6 @@ class Simulator {
   /** Allocates a pool slot (free list first, then slab growth). */
   std::uint32_t alloc_slot();
 
-  /** Shared scheduling tail for both entry points. */
-  EventId schedule_with_seq(TimePs t, std::uint64_t seq, Callback cb);
-
-  /** Places `slot` (key already in the record) into the ring, a level
-   *  bucket, or the overflow list, relative to cur_tick_. */
-  void wheel_place(std::uint32_t slot);
-
-  /** Unlinks a pending `slot` from whichever wheel container holds it. */
-  void wheel_unlink(std::uint32_t slot);
-
-  /** Pushes `slot` onto level bucket `b` and marks it occupied. */
-  void bucket_push(std::uint32_t b, std::uint32_t slot);
-
-  /** Inserts `slot` into the sorted ready ring. */
-  void ring_insert(std::uint32_t slot);
-
-  /** Moves every event of level bucket `b` into the ready ring, sorted. */
-  void drain_bucket(std::uint32_t b);
-
-  /** Re-places every event of level bucket `b` after cur_tick_ moved. */
-  void cascade_bucket(std::uint32_t b);
-
-  /** Pulls overflow events whose top-level window time has entered. */
-  void promote_overflow();
-
-  /** First occupied slot index at `level` at or after `from`, or -1. */
-  int next_occupied(unsigned level, std::size_t from) const;
-
-  /** Fills the ready ring with the next tick-run of events: advances
-   *  cur_tick_ to the next occupied slot (cascading outer levels and
-   *  pulling the overflow tier as needed). Returns false when the wheel
-   *  is completely empty. */
-  bool wheel_advance();
-
-  /** Recomputes the cached earliest-pending key without mutating any
-   *  bucket. Returns false (cache left invalid) when nothing is pending. */
-  bool refresh_peek() const;
-
   /** Pops and runs the earliest event. Returns false if none runnable. */
   bool step();
 
@@ -402,22 +239,9 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
-  SchedBackend backend_;            ///< Calendar implementation in use.
   std::vector<Event> pool_;         ///< Slab of pooled event records.
   std::vector<HeapEntry> heap_;     ///< 4-ary min-heap, keys inline.
   std::uint32_t free_head_ = kNoSlot;  ///< Free-list head into pool_.
-
-  // --- Wheel backend state (empty vectors under the heap backend). ---
-  std::uint64_t cur_tick_ = 0;      ///< Tick the wheel has advanced to.
-  std::vector<std::uint32_t> bucket_head_;  ///< kWheelLevels*kWheelSlots.
-  std::vector<std::uint64_t> bucket_bits_;  ///< Occupancy bitmap per level.
-  std::uint32_t overflow_head_ = kNoSlot;   ///< Far-future list head.
-  std::size_t wheel_pending_ = 0;   ///< Exact pending count (all tiers).
-  std::vector<RingEntry> ring_;     ///< Current tick-run, (time,seq)-sorted.
-  std::size_t ring_head_ = 0;       ///< First live ring index.
-  mutable bool peek_valid_ = false; ///< Earliest-pending cache state.
-  mutable TimePs peek_time_ = 0;    ///< Cached earliest pending time.
-  mutable std::uint64_t peek_seq_ = 0;  ///< Cached earliest pending seq.
 
   KernelStats kstats_;
   EventProbe* probe_ = nullptr;  ///< Passive observer; null when off.

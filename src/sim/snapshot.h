@@ -17,11 +17,9 @@
  * and the kernel scalars (now, the monotonic insertion stamp, the
  * executed-event count, the free-list head, throughput counters).
  *
- * The calendar is stored in canonical form regardless of the scheduler
- * backend (DESIGN.md §18): the flat pending-event list sorted by
- * (time, seq). A sorted array is a valid min-heap, so a heap restore
- * adopts it verbatim, and a wheel restore re-places each entry into its
- * buckets — one snapshot therefore restores into either backend.
+ * The calendar is stored in canonical form: the flat pending-event list
+ * sorted by (time, seq). A sorted array is a valid min-heap, so restore
+ * adopts it verbatim.
  *
  * The design is in-place restore, not serialization: restore() rebuilds
  * the pool and heap inside the *same* Simulator object, so raw pointers
@@ -84,8 +82,6 @@ struct Snapshot {
   std::uint64_t stats_clamped = 0;    ///< KernelStats::clamped_past.
   std::uint64_t stats_pool_grown = 0; ///< KernelStats::pool_grown.
   std::size_t stats_pending_high = 0; ///< KernelStats::pending_high_water.
-  /** KernelStats::overflow_promotions. */
-  std::uint64_t stats_overflow_promotions = 0;
 };
 
 }  // namespace accelflow::sim

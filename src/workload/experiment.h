@@ -192,12 +192,6 @@ qos::QosPolicy resolve_qos_policy(const ExperimentConfig& config);
 core::MachineConfig with_qos(core::MachineConfig mc,
                              const qos::QosPolicy& policy);
 
-// A third environment knob rides along the same way: AF_SCHED=wheel runs
-// every machine's event calendar on the hierarchical timing wheel instead
-// of the 4-ary heap (MachineConfig::sched, sim::af_sched_wheel_enabled(),
-// DESIGN.md §18). Both backends are bit-identical by contract, so results
-// never change — the CI sanitize job reruns the suite under it.
-
 /**
  * Collects the end-of-run measurements — per-service latency, machine
  * activity, orchestrator counters, and (optionally) a metrics-registry

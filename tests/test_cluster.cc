@@ -4,8 +4,7 @@
  *
  *  - a 1-shard cluster::Datacenter must be *byte-identical* to the bare
  *    run_experiment() harness — same per-service stats, same machine
- *    activity, same exported trace — under both the interpreted and the
- *    compiled chain backend (AF_COMPILE=0/1), and under fault injection.
+ *    activity, same exported trace — with and without fault injection.
  *    This is the conformance oracle that pins the cluster layer to the
  *    single-machine semantics everything else validates;
  *  - a multi-shard run must be bit-identical regardless of worker-thread
@@ -22,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -90,53 +88,24 @@ void expect_identical(const ClusterResult& a, const ClusterResult& b,
   EXPECT_EQ(a.network.total_latency, b.network.total_latency) << what;
 }
 
-/** Drops AF_COMPILE for the scope (the sanitize CI job exports it). */
-class ScopedNoAfCompile {
- public:
-  ScopedNoAfCompile() {
-    const char* v = std::getenv("AF_COMPILE");
-    if (v != nullptr) {
-      saved_ = v;
-      had_ = true;
-    }
-    unsetenv("AF_COMPILE");
-  }
-  ~ScopedNoAfCompile() {
-    if (had_) {
-      setenv("AF_COMPILE", saved_.c_str(), 1);
-    } else {
-      unsetenv("AF_COMPILE");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
 TEST(ClusterConformance, OneShardMatchesBareExperiment) {
-  // Both chain backends: the cluster layer sits entirely above the
-  // engine, so neither may observe a difference.
-  ScopedNoAfCompile no_env;
-  for (const bool compile : {false, true}) {
-    workload::ExperimentConfig cfg = small_experiment();
-    cfg.engine.compile = compile;
-    const workload::ExperimentResult bare = workload::run_experiment(cfg);
+  // The cluster layer sits entirely above the engine, so a 1-shard run
+  // may not observe a difference.
+  const workload::ExperimentConfig cfg = small_experiment();
+  const workload::ExperimentResult bare = workload::run_experiment(cfg);
 
-    ClusterConfig cluster;
-    cluster.experiment = cfg;
-    cluster.shards = 1;
-    Datacenter dc(cluster);
-    const ClusterResult res = dc.run();
+  ClusterConfig cluster;
+  cluster.experiment = cfg;
+  cluster.shards = 1;
+  Datacenter dc(cluster);
+  const ClusterResult res = dc.run();
 
-    ASSERT_EQ(res.shards.size(), 1u);
-    expect_identical(bare, res.shards[0],
-                     compile ? "compiled" : "interpreted");
-    // One shard routes nothing and sends nothing.
-    EXPECT_EQ(res.balancer_decisions, 0u);
-    EXPECT_EQ(res.remote_rpcs, 0u);
-    EXPECT_EQ(res.network.messages, 0u);
-  }
+  ASSERT_EQ(res.shards.size(), 1u);
+  expect_identical(bare, res.shards[0], "one shard");
+  // One shard routes nothing and sends nothing.
+  EXPECT_EQ(res.balancer_decisions, 0u);
+  EXPECT_EQ(res.remote_rpcs, 0u);
+  EXPECT_EQ(res.network.messages, 0u);
 }
 
 TEST(ClusterConformance, OneShardTraceIsByteIdentical) {

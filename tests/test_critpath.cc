@@ -5,8 +5,7 @@
  * priority resolution, the conservation identity on hand-built and
  * fuzzer-generated traces, flight-recorder edge cases (lost begins,
  * reopened flows), a golden attribution JSON on a deterministic
- * experiment, byte-identical attribution across the AF_COMPILE=0/1
- * backends, Chrome-JSON re-ingestion, and an AutoTuner recovery smoke.
+ * experiment, Chrome-JSON re-ingestion, and an AutoTuner recovery smoke.
  */
 
 #include <gtest/gtest.h>
@@ -72,7 +71,6 @@ TEST(Category, MappingCoversDurationCarryingKinds) {
   // Instants and flow markers carry no duration to attribute.
   EXPECT_FALSE(category_of(SpanKind::kChainDone, &c));
   EXPECT_FALSE(category_of(SpanKind::kTlbMiss, &c));
-  EXPECT_FALSE(category_of(SpanKind::kBatchDrain, &c));
 }
 
 TEST(Category, PriorityPutsMostSpecificResourceOnTop) {
@@ -274,32 +272,6 @@ TEST(Analyzer, OpenChainsCountIncompleteOnFinish) {
 
 // --- Experiment-driven attribution ---------------------------------------
 
-/** Pins AF_COMPILE out of the environment for the scope, so backend
- *  selection follows EngineConfig::compile alone even when ctest exports
- *  AF_COMPILE=1 (mirrors test_chain_program.cc). */
-class ScopedNoAfCompile {
- public:
-  ScopedNoAfCompile() {
-    const char* v = std::getenv("AF_COMPILE");
-    if (v != nullptr) {
-      saved_ = v;
-      had_ = true;
-    }
-    unsetenv("AF_COMPILE");
-  }
-  ~ScopedNoAfCompile() {
-    if (had_) {
-      setenv("AF_COMPILE", saved_.c_str(), 1);
-    } else {
-      unsetenv("AF_COMPILE");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
 workload::ExperimentConfig tiny_config() {
   workload::ExperimentConfig cfg;
   cfg.kind = core::OrchKind::kAccelFlow;
@@ -313,13 +285,10 @@ workload::ExperimentConfig tiny_config() {
   return cfg;
 }
 
-/** Runs tiny_config() traced with the given backend and returns the
- *  attribution JSON bytes. */
-std::string attribution_json(bool compiled) {
-  ScopedNoAfCompile no_env;
+/** Runs tiny_config() traced and returns the attribution JSON bytes. */
+std::string attribution_json() {
   obs::Tracer tracer(1u << 18);
   workload::ExperimentConfig cfg = tiny_config();
-  cfg.engine.compile = compiled;
   cfg.tracer = &tracer;
   const workload::ExperimentResult res = workload::run_experiment(cfg);
   EXPECT_GT(res.total_completed(), 0u);
@@ -343,7 +312,7 @@ std::string attribution_json(bool compiled) {
  * (from the build directory), then commit the refreshed file.
  */
 TEST(AttributionGolden, MatchesGoldenFile) {
-  const std::string got = attribution_json(/*compiled=*/false);
+  const std::string got = attribution_json();
   const std::string path =
       std::string(AF_TEST_GOLDEN_DIR) + "/critpath.json";
   if (std::getenv("AF_REGOLD") != nullptr) {
@@ -361,17 +330,7 @@ TEST(AttributionGolden, MatchesGoldenFile) {
       << "; if intentional, regenerate with AF_REGOLD=1";
 }
 
-TEST(CompileModes, AttributionIsByteIdentical) {
-  // DESIGN.md §15: the compiled backend replays the interpreter's exact
-  // event schedule, so the per-chain attribution — a pure function of the
-  // trace — must agree to the byte.
-  const std::string interpreted = attribution_json(/*compiled=*/false);
-  const std::string compiled = attribution_json(/*compiled=*/true);
-  EXPECT_EQ(interpreted, compiled);
-}
-
 TEST(ChromeJsonRoundTrip, ReingestedAttributionMatchesDirect) {
-  ScopedNoAfCompile no_env;
   obs::Tracer tracer(1u << 18);
   workload::ExperimentConfig cfg = tiny_config();
   cfg.tracer = &tracer;

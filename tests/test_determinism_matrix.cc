@@ -7,29 +7,16 @@
  * "results independent of thread count" and the checker's "observing
  * never perturbs".
  *
- * A third axis covers the compiled chain backend (DESIGN.md §15): whether
- * traces execute through the interpreter or through compiled chain
- * programs with batched completion drains (EngineConfig::compile or
- * AF_COMPILE=1) must not change a single bit of any result.
- *
- * A fourth axis covers cluster-scale sharded serving (DESIGN.md §17):
+ * A third axis covers cluster-scale sharded serving (DESIGN.md §17):
  * shard count x worker-thread count x checker attachment. The
  * conservative-lookahead window engine must replay the identical cluster
  * timeline no matter how many threads advance the shards, and observing
  * it must not perturb a bit.
  *
- * A fifth axis covers the event-calendar backend (DESIGN.md §18): whether
- * the kernel orders events with the indexed 4-ary heap or the
- * hierarchical timing wheel (MachineConfig::sched or AF_SCHED=wheel) must
- * not change a single bit of any result — the heap is the wheel's
- * differential oracle, and this matrix crosses it with the compile and
- * cluster axes.
- *
- * A sixth axis covers the multi-tenant QoS layer (DESIGN.md §19): a run
+ * A fourth axis covers the multi-tenant QoS layer (DESIGN.md §19): a run
  * carrying a QoS policy and a power budget (ExperimentConfig::qos/power
- * or AF_QOS=1) must stay bit-identical across worker-thread counts and
- * across the sched x compile corners, and the AF_QOS env toggle must
- * match the equivalent config toggle.
+ * or AF_QOS=1) must stay bit-identical across worker-thread counts, and
+ * the AF_QOS env toggle must match the equivalent config toggle.
  *
  * The thread axis also covers workload::find_max_load: the speculative
  * search on the default slot budget must match AF_BENCH_THREADS=1.
@@ -44,7 +31,6 @@
 #include "check/invariant_checker.h"
 #include "cluster/datacenter.h"
 #include "qos/policy.h"
-#include "sim/simulator.h"
 #include "workload/experiment.h"
 #include "workload/parallel_runner.h"
 #include "workload/suites.h"
@@ -147,148 +133,6 @@ TEST(DeterminismMatrix, FindMaxLoadIdenticalAcrossThreadCounts) {
   expect_identical(serial_peak, default_peak, "find_max_load at_peak");
 }
 
-/** Drops AF_COMPILE from the environment for the scope (the sanitize CI
- *  job exports it, which would silently compile the "interpreted" runs). */
-class ScopedNoAfCompile {
- public:
-  ScopedNoAfCompile() {
-    const char* v = std::getenv("AF_COMPILE");
-    if (v != nullptr) {
-      saved_ = v;
-      had_ = true;
-    }
-    unsetenv("AF_COMPILE");
-  }
-  ~ScopedNoAfCompile() {
-    if (had_) {
-      setenv("AF_COMPILE", saved_.c_str(), 1);
-    } else {
-      unsetenv("AF_COMPILE");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
-/** Drops AF_SCHED from the environment for the scope (the sanitize CI
- *  job exports it, which would silently put the "heap" runs on the
- *  wheel). */
-class ScopedNoAfSched {
- public:
-  ScopedNoAfSched() {
-    const char* v = std::getenv("AF_SCHED");
-    if (v != nullptr) {
-      saved_ = v;
-      had_ = true;
-    }
-    unsetenv("AF_SCHED");
-  }
-  ~ScopedNoAfSched() {
-    if (had_) {
-      setenv("AF_SCHED", saved_.c_str(), 1);
-    } else {
-      unsetenv("AF_SCHED");
-    }
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
-TEST(DeterminismMatrix, WheelMatchesHeap) {
-  ScopedNoAfSched no_env;
-  const std::vector<ExperimentConfig> configs = matrix_configs();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    ExperimentConfig wheel = configs[i];
-    wheel.machine.sched = sim::SchedBackend::kWheel;
-    const ExperimentResult w = run_experiment(wheel);
-    const ExperimentResult heap = run_experiment(configs[i]);
-    expect_identical(w, heap, "sched axis, config " + std::to_string(i));
-  }
-}
-
-TEST(DeterminismMatrix, SchedEnvToggleMatchesConfigToggle) {
-  ScopedNoAfSched no_env;
-  const ExperimentConfig cfg = matrix_configs()[0];
-  ExperimentConfig wheel = cfg;
-  wheel.machine.sched = sim::SchedBackend::kWheel;
-  const ExperimentResult via_config = run_experiment(wheel);
-  setenv("AF_SCHED", "wheel", 1);
-  const ExperimentResult via_env = run_experiment(cfg);
-  unsetenv("AF_SCHED");
-  expect_identical(via_config, via_env, "AF_SCHED env toggle");
-}
-
-TEST(DeterminismMatrix, WheelMatchesHeapCompiled) {
-  // Sched axis crossed with the compiled-chain backend: all four corners
-  // of (heap|wheel) x (interpreted|compiled) replay the same timeline.
-  ScopedNoAfSched no_sched;
-  ScopedNoAfCompile no_compile;
-  const ExperimentConfig base = matrix_configs()[0];
-  std::vector<ExperimentResult> corners;
-  for (const bool compile : {false, true}) {
-    for (const bool wheel : {false, true}) {
-      ExperimentConfig cfg = base;
-      cfg.engine.compile = compile;
-      cfg.machine.sched =
-          wheel ? sim::SchedBackend::kWheel : sim::SchedBackend::kHeap;
-      corners.push_back(run_experiment(cfg));
-    }
-  }
-  for (std::size_t i = 1; i < corners.size(); ++i) {
-    expect_identical(corners[0], corners[i],
-                     "compile x sched corner " + std::to_string(i));
-  }
-}
-
-TEST(DeterminismMatrix, CompiledMatchesInterpreted) {
-  ScopedNoAfCompile no_env;
-  const std::vector<ExperimentConfig> configs = matrix_configs();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    ExperimentConfig compiled = configs[i];
-    compiled.engine.compile = true;
-    const ExperimentResult c = run_experiment(compiled);
-    const ExperimentResult interp = run_experiment(configs[i]);
-    expect_identical(c, interp, "compile axis, config " + std::to_string(i));
-  }
-}
-
-TEST(DeterminismMatrix, CompiledEnvToggleMatchesConfigToggle) {
-  ScopedNoAfCompile no_env;
-  const ExperimentConfig cfg = matrix_configs()[0];
-  ExperimentConfig compiled = cfg;
-  compiled.engine.compile = true;
-  const ExperimentResult via_config = run_experiment(compiled);
-  setenv("AF_COMPILE", "1", 1);
-  const ExperimentResult via_env = run_experiment(cfg);
-  unsetenv("AF_COMPILE");
-  expect_identical(via_config, via_env, "AF_COMPILE env toggle");
-}
-
-TEST(DeterminismMatrix, CompiledRunsCleanUnderChecker) {
-  // The invariant checker audits the compiled backend exactly as it does
-  // the interpreter — and still does not perturb the timeline.
-  ScopedNoAfCompile no_env;
-  const std::vector<ExperimentConfig> configs = matrix_configs();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    ExperimentConfig with = configs[i];
-    with.engine.compile = true;
-    check::InvariantChecker checker;
-    with.checker = &checker;
-    const ExperimentResult checked = run_experiment(with);
-    ExperimentConfig plain_cfg = configs[i];
-    plain_cfg.engine.compile = true;
-    const ExperimentResult plain = run_experiment(plain_cfg);
-    expect_identical(checked, plain,
-                     "compiled+checker, config " + std::to_string(i));
-    EXPECT_TRUE(checker.ok()) << checker.report();
-    EXPECT_GT(checker.stats().chains_started, 0u);
-  }
-}
-
 TEST(DeterminismMatrix, CheckerDoesNotPerturbResults) {
   // The invariant checker is a pure observer: a checked run must be
   // bit-identical to an unchecked run of the same config. The suite runs
@@ -385,31 +229,6 @@ TEST(DeterminismMatrix, QosEnvToggleMatchesConfigToggle) {
   EXPECT_GT(via_env.qos_tenants.size(), 0u);
 }
 
-TEST(DeterminismMatrix, QosCrossesSchedAndCompileAxes) {
-  // The QoS bundle crossed with the event-calendar and compiled-chain
-  // backends: all four (heap|wheel) x (interpreted|compiled) corners of a
-  // policy-carrying, power-capped run replay the same timeline.
-  ScopedNoAfQos no_qos;
-  ScopedNoAfSched no_sched;
-  ScopedNoAfCompile no_compile;
-  const ExperimentConfig base = qos_matrix_config();
-  std::vector<ExperimentResult> corners;
-  for (const bool compile : {false, true}) {
-    for (const bool wheel : {false, true}) {
-      ExperimentConfig cfg = base;
-      cfg.engine.compile = compile;
-      cfg.machine.sched =
-          wheel ? sim::SchedBackend::kWheel : sim::SchedBackend::kHeap;
-      corners.push_back(run_experiment(cfg));
-    }
-  }
-  EXPECT_GT(corners[0].power.epochs, 0u);
-  for (std::size_t i = 1; i < corners.size(); ++i) {
-    expect_identical(corners[0], corners[i],
-                     "qos x compile x sched corner " + std::to_string(i));
-  }
-}
-
 /** Cluster results that must match bit for bit across the axes. */
 void expect_identical(const cluster::ClusterResult& a,
                       const cluster::ClusterResult& b,
@@ -457,33 +276,6 @@ TEST(DeterminismMatrix, ClusterShardThreadCheckerAxes) {
     EXPECT_TRUE(checker.ok()) << checker.report();
   }
   if (af_check != nullptr) setenv("AF_CHECK", saved.c_str(), 1);
-}
-
-TEST(DeterminismMatrix, ClusterWheelMatchesHeap) {
-  // Sched axis at cluster scale: every shard kernel on the timing wheel
-  // (including the window engine's next-event idle fast-forward) must
-  // replay the heap cluster timeline bit for bit, serial and threaded.
-  ScopedNoAfSched no_env;
-  const ExperimentConfig base = matrix_configs()[0];
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    auto run_cluster = [&](unsigned threads, sim::SchedBackend sched) {
-      cluster::ClusterConfig cfg;
-      cfg.experiment = base;
-      cfg.experiment.machine.sched = sched;
-      cfg.shards = shards;
-      cfg.remote_rpc_fraction = 0.4;
-      cfg.threads = threads;
-      cluster::Datacenter dc(cfg);
-      return dc.run();
-    };
-    const cluster::ClusterResult heap =
-        run_cluster(1, sim::SchedBackend::kHeap);
-    const std::string tag = "shards=" + std::to_string(shards);
-    expect_identical(heap, run_cluster(1, sim::SchedBackend::kWheel),
-                     tag + " wheel serial");
-    expect_identical(heap, run_cluster(4, sim::SchedBackend::kWheel),
-                     tag + " wheel threaded");
-  }
 }
 
 }  // namespace

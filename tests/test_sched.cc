@@ -1,22 +1,21 @@
 /**
  * @file
- * Differential tests for the two event-calendar backends (DESIGN.md §18):
- * the hierarchical timing wheel must be bit-identical to the indexed
- * 4-ary heap — same firing order, same query answers, same counters — on
- * fuzzer-generated schedules, cancel-heavy churn, far-future overflow
- * promotion, schedule_at_seq impersonation, and checkpoint/restore taken
- * mid-wave (including a snapshot crossing from one backend to the other).
+ * Differential tests for the event calendar: the indexed 4-ary heap in
+ * sim::Simulator must match the test-only multimap reference
+ * (tests/reference_calendar.h) — same firing order, same query answers,
+ * same counters — on fuzzer-generated schedules, cancel-heavy churn,
+ * run_until horizons across idle gaps, and checkpoint/restore taken
+ * mid-wave.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "reference_calendar.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
@@ -31,22 +30,22 @@ using Log = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 /** A self-driving randomized schedule: events fire, log, respawn, and
  *  cancel random armed handles (often stale — exercising the generation
- *  checks). Both backends consume the identical op stream: the rng draws
+ *  checks). Both calendars consume the identical op stream: the rng draws
  *  happen inside callbacks, so they stay aligned exactly as long as the
  *  firing order does. */
+template <typename Cal>
 struct FuzzCtx {
-  Simulator sim;
+  Cal sim;
   Rng rng;
   std::vector<EventId> armed;
   Log log;
   std::uint64_t budget;
 
-  FuzzCtx(SchedBackend backend, std::uint64_t seed, std::uint64_t spawns)
-      : sim(backend), rng(seed), budget(spawns) {}
+  FuzzCtx(std::uint64_t seed, std::uint64_t spawns)
+      : rng(seed), budget(spawns) {}
 
   void spawn(std::uint64_t tag) {
-    // Mostly near-future (the wheel's L0/L1), a slice far enough out to
-    // exercise the outer levels.
+    // Mostly near-future, a slice microseconds out.
     const TimePs delay = rng.next_below(4) == 0
                              ? microseconds(1) + rng.next_below(1 << 22)
                              : 10 + rng.next_below(20000);
@@ -54,8 +53,6 @@ struct FuzzCtx {
       log.emplace_back(sim.now(), tag);
       if ((tag & 7) == 0) {
         log.emplace_back(sim.next_event_time(), sim.pending_events());
-        log.emplace_back(sim.has_event_before(sim.now() + 5000, 1u << 20),
-                         ~std::uint64_t{0});
       }
       if (budget > 0) {
         --budget;
@@ -67,7 +64,8 @@ struct FuzzCtx {
       }
       if (rng.next_below(4) == 0 && !armed.empty()) {
         const std::size_t idx = rng.next_below(armed.size());
-        sim.cancel(armed[idx]);  // Often stale: already fired/cancelled.
+        // Often stale: already fired/cancelled.
+        log.emplace_back(sim.cancel(armed[idx]), ~std::uint64_t{0});
       }
     }));
   }
@@ -84,131 +82,60 @@ struct FuzzCtx {
 };
 
 TEST(SchedDifferential, FuzzedSchedulesBitIdentical) {
-  // 1000 fuzzer-generated schedules, each run in lockstep on both
-  // backends; every firing, peek answer and counter must match.
+  // 1000 fuzzer-generated schedules, each run on the heap and on the
+  // reference; every firing, peek answer and counter must match.
   for (std::uint64_t seed = 0; seed < 1000; ++seed) {
-    FuzzCtx heap(SchedBackend::kHeap, 0xF00D + seed, 64);
-    FuzzCtx wheel(SchedBackend::kWheel, 0xF00D + seed, 64);
+    FuzzCtx<Simulator> heap(0xF00D + seed, 64);
+    FuzzCtx<ReferenceCalendar> ref(0xF00D + seed, 64);
     heap.run(/*initial=*/8);
-    wheel.run(/*initial=*/8);
-    ASSERT_EQ(heap.log, wheel.log) << "seed " << seed;
+    ref.run(/*initial=*/8);
+    ASSERT_EQ(heap.log, ref.log) << "seed " << seed;
   }
+}
+
+template <typename Cal>
+Log cancel_churn() {
+  // The response-timeout pattern: rounds arm 8 timeouts and cancel 7
+  // before they fire.
+  Cal sim;
+  Rng rng(42);
+  Log log;
+  std::vector<EventId> armed;
+  std::function<void(int)> round = [&](int left) {
+    if (left == 0) return;
+    armed.clear();
+    for (int t = 0; t < 8; ++t) {
+      const std::uint64_t tag = static_cast<std::uint64_t>(left * 16 + t);
+      armed.push_back(sim.schedule_after(
+          50000 + rng.next_below(1000),
+          [&log, &sim, tag] { log.emplace_back(sim.now(), tag); }));
+    }
+    sim.schedule_after(100 + rng.next_below(300), [&, left] {
+      for (int t = 0; t < 7; ++t) sim.cancel(armed[static_cast<size_t>(t)]);
+      round(left - 1);
+    });
+  };
+  round(500);
+  sim.run();
+  log.emplace_back(sim.kernel_stats().cancelled,
+                   sim.kernel_stats().pending_high_water);
+  log.emplace_back(sim.now(), sim.executed_events());
+  return log;
 }
 
 TEST(SchedDifferential, CancelChurnBitIdentical) {
-  // The response-timeout pattern: rounds arm 8 timeouts and cancel 7
-  // before they fire — the wheel's O(1) unlink against the heap's
-  // eviction, same observable run.
-  const auto churn = [](SchedBackend backend) {
-    Simulator sim(backend);
-    Rng rng(42);
-    Log log;
-    std::vector<EventId> armed;
-    std::function<void(int)> round = [&](int left) {
-      if (left == 0) return;
-      armed.clear();
-      for (int t = 0; t < 8; ++t) {
-        const std::uint64_t tag = static_cast<std::uint64_t>(left * 16 + t);
-        armed.push_back(sim.schedule_after(50000 + rng.next_below(1000),
-                                           [&log, &sim, tag] {
-                                             log.emplace_back(sim.now(), tag);
-                                           }));
-      }
-      sim.schedule_after(100 + rng.next_below(300), [&, left] {
-        for (int t = 0; t < 7; ++t) sim.cancel(armed[static_cast<size_t>(t)]);
-        round(left - 1);
-      });
-    };
-    round(500);
-    sim.run();
-    log.emplace_back(sim.kernel_stats().cancelled,
-                     sim.kernel_stats().pending_high_water);
-    log.emplace_back(sim.now(), sim.executed_events());
-    return log;
-  };
-  EXPECT_EQ(churn(SchedBackend::kHeap), churn(SchedBackend::kWheel));
-}
-
-TEST(SchedDifferential, FarFutureOverflowPromotion) {
-  // Events beyond the wheel span start on the overflow tier and must be
-  // promoted (counted) when time crosses into their window — firing in
-  // exactly the heap's order throughout.
-  const auto far = [](SchedBackend backend) {
-    Simulator sim(backend);
-    Log log;
-    const auto fire = [&log, &sim](std::uint64_t tag) {
-      return [&log, &sim, tag] { log.emplace_back(sim.now(), tag); };
-    };
-    // Two distant clusters (distinct top-level windows) + near traffic.
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      sim.schedule_at(Simulator::kWheelSpanPs * 3 + i * 977, fire(100 + i));
-      sim.schedule_at(Simulator::kWheelSpanPs * 9 + i * 31, fire(200 + i));
-      sim.schedule_at(1000 + i * 333, fire(i));
-    }
-    // A ladder that respawns across the span boundary while running.
-    sim.schedule_at(500, [&] {
-      sim.schedule_after(Simulator::kWheelSpanPs + 12345, fire(999));
-    });
-    sim.run();
-    log.emplace_back(sim.now(), sim.executed_events());
-    return log;
-  };
-  const Log heap_log = far(SchedBackend::kHeap);
-  EXPECT_EQ(heap_log, far(SchedBackend::kWheel));
-
-  Simulator wheel(SchedBackend::kWheel);
-  std::uint64_t fired = 0;
-  wheel.schedule_at(Simulator::kWheelSpanPs * 5, [&fired] { ++fired; });
-  wheel.schedule_at(10, [&fired] { ++fired; });
-  wheel.run();
-  EXPECT_EQ(fired, 2u);
-  EXPECT_GE(wheel.kernel_stats().overflow_promotions, 1u);
-}
-
-TEST(SchedDifferential, ScheduleAtSeqImpersonation) {
-  // The DrainRing contract: stamps reserved at the defer point, events
-  // materialised later (and out of order) at those stamps, must fire in
-  // reserved-stamp order on both backends — with plain schedules
-  // interleaving exactly where their own stamps fall.
-  for (const SchedBackend backend :
-       {SchedBackend::kHeap, SchedBackend::kWheel}) {
-    Simulator sim(backend);
-    Log log;
-    const auto fire = [&log, &sim](std::uint64_t tag) {
-      return [&log, &sim, tag] { log.emplace_back(sim.now(), tag); };
-    };
-    std::vector<std::uint64_t> seqs;
-    for (std::uint64_t i = 0; i < 8; ++i) seqs.push_back(sim.reserve_seq());
-    const std::uint64_t plain_probe = sim.reserve_seq();
-    // A plain event stamped *after* every reservation…
-    sim.schedule_at_seq(100, plain_probe, fire(50));
-    // …then the reserved stamps materialised in reverse.
-    for (std::size_t i = seqs.size(); i-- > 0;) {
-      sim.schedule_at_seq(100, seqs[i], fire(i));
-      // The earliest materialised stamp must now precede the probe key.
-      EXPECT_TRUE(sim.has_event_before(100, plain_probe));
-      EXPECT_FALSE(sim.has_event_before(100, seqs[i]));
-    }
-    sim.schedule_at(100, fire(60));  // Fresh stamp: fires last.
-    sim.run();
-    Log want;
-    for (std::uint64_t i = 0; i < 8; ++i) want.emplace_back(100, i);
-    want.emplace_back(100, 50);
-    want.emplace_back(100, 60);
-    EXPECT_EQ(log, want) << "backend "
-                         << static_cast<int>(backend);
-  }
+  EXPECT_EQ(cancel_churn<Simulator>(), cancel_churn<ReferenceCalendar>());
 }
 
 /** Restore-mid-wave harness: callbacks capture only (ctx pointer, ints),
- *  so they are clonable and replay against whichever simulator the ctx
- *  currently points at — which is what lets one snapshot seed a fork on
- *  the *other* backend. */
+ *  so they are clonable and replay against whichever calendar the ctx
+ *  currently points at. */
+template <typename Cal>
 struct WaveCtx {
-  Simulator* sim = nullptr;
+  Cal* sim = nullptr;
   Log log;
 
-  void seed_wave(Simulator& s) {
+  void seed_wave(Cal& s) {
     sim = &s;
     for (std::uint64_t i = 0; i < 40; ++i) {
       const TimePs t = 50 + (i % 7) * 400 + (i / 7) * 1000;
@@ -216,97 +143,83 @@ struct WaveCtx {
     }
   }
 
-  InlineCallback make_cb(std::uint64_t tag) {
+  typename Cal::Callback make_cb(std::uint64_t tag) {
     WaveCtx* ctx = this;
-    return InlineCallback([ctx, tag] {
+    return [ctx, tag] {
       ctx->log.emplace_back(ctx->sim->now(), tag);
       if (tag < 20) {
         // Deterministic respawn: arithmetic only, so the replay after a
         // restore re-derives the identical future.
         ctx->sim->schedule_after(700 + tag * 13, ctx->make_cb(tag + 100));
       }
-    });
+    };
   }
 };
 
-TEST(SchedDifferential, RestoreMidWaveCrossBackend) {
-  for (const SchedBackend origin :
-       {SchedBackend::kHeap, SchedBackend::kWheel}) {
-    // Run half the wave, checkpoint with the calendar hot, finish the
-    // run, then replay the tail from the snapshot on BOTH backends.
-    WaveCtx ctx;
-    Simulator original(origin);
-    ctx.seed_wave(original);
-    original.run_until(2000);
-    ASSERT_GT(original.pending_events(), 0u);
-    Snapshot snap;
-    original.checkpoint(snap);
-    const std::size_t mid = ctx.log.size();
-    original.run();
-    const Log tail(ctx.log.begin() + static_cast<std::ptrdiff_t>(mid),
-                   ctx.log.end());
-    const std::uint64_t final_executed = original.executed_events();
+TEST(SchedDifferential, RestoreMidWaveMatchesReference) {
+  // The reference runs the whole wave uninterrupted. The heap runs half
+  // of it, checkpoints with the calendar hot, finishes, and then replays
+  // the tail from the snapshot: both halves must match the reference.
+  WaveCtx<ReferenceCalendar> ref_ctx;
+  ReferenceCalendar ref;
+  ref_ctx.seed_wave(ref);
+  ref.run();
 
-    for (const SchedBackend replay :
-         {SchedBackend::kHeap, SchedBackend::kWheel}) {
-      Simulator forked(replay);
-      forked.restore(snap);
-      EXPECT_EQ(forked.pending_events(), snap.heap.size());
-      ctx.log.clear();
-      ctx.sim = &forked;
-      forked.run();
-      EXPECT_EQ(ctx.log, tail) << "origin " << static_cast<int>(origin)
-                               << " replay " << static_cast<int>(replay);
-      EXPECT_EQ(forked.executed_events(), final_executed);
-      EXPECT_EQ(forked.now(), original.now());
-    }
-  }
+  WaveCtx<Simulator> ctx;
+  Simulator original;
+  ctx.seed_wave(original);
+  original.run_until(2000);
+  ASSERT_GT(original.pending_events(), 0u);
+  Snapshot snap;
+  original.checkpoint(snap);
+  const std::size_t mid = ctx.log.size();
+  original.run();
+  EXPECT_EQ(ctx.log, ref_ctx.log);
+  EXPECT_EQ(original.executed_events(), ref.executed_events());
+
+  Simulator forked;
+  forked.restore(snap);
+  EXPECT_EQ(forked.pending_events(), snap.heap.size());
+  ctx.log.clear();
+  ctx.sim = &forked;
+  forked.run();
+  const Log tail(ref_ctx.log.begin() + static_cast<std::ptrdiff_t>(mid),
+                 ref_ctx.log.end());
+  EXPECT_EQ(ctx.log, tail);
+  EXPECT_EQ(forked.executed_events(), ref.executed_events());
+  EXPECT_EQ(forked.now(), ref.now());
+}
+
+template <typename Cal>
+Log horizons_and_gaps() {
+  // Horizon semantics across idle gaps: run_until with nothing due
+  // advances now, and events scheduled into the gap order correctly
+  // against the one already pending.
+  Cal sim;
+  Log log;
+  const auto fire = [&log, &sim](std::uint64_t tag) {
+    return [&log, &sim, tag] { log.emplace_back(sim.now(), tag); };
+  };
+  log.emplace_back(sim.next_event_time(), sim.pending_events());
+  sim.schedule_at(10'000'000, fire(1));
+  sim.run_until(5'000'000);  // Far short of the only event.
+  log.emplace_back(sim.now(), sim.pending_events());
+  log.emplace_back(sim.next_event_time(), 0);
+  sim.schedule_at(5'000'001, fire(2));
+  sim.schedule_at(9'999'999, fire(3));
+  sim.schedule_at(10'000'000, fire(4));  // Ties with #1 on time.
+  log.emplace_back(sim.next_event_time(), sim.pending_events());
+  sim.run_until(10'000'000);
+  log.emplace_back(sim.now(), sim.pending_events());
+  log.emplace_back(sim.next_event_time(), 0);
+  sim.run_until(60'000'000);  // Idle: nothing pending at all.
+  log.emplace_back(sim.now(), sim.executed_events());
+  return log;
 }
 
 TEST(SchedDifferential, RunUntilHorizonsAndIdleGaps) {
-  // Horizon semantics across idle gaps: run_until with nothing pending
-  // advances now; scheduling into a tick the wheel has already drained
-  // past must still order correctly against previously drained events.
-  const auto drive = [](SchedBackend backend) {
-    Simulator sim(backend);
-    Log log;
-    const auto fire = [&log, &sim](std::uint64_t tag) {
-      return [&log, &sim, tag] { log.emplace_back(sim.now(), tag); };
-    };
-    sim.schedule_at(10'000'000, fire(1));
-    sim.run_until(5'000'000);  // Far short of the only event.
-    log.emplace_back(sim.now(), sim.pending_events());
-    // Schedule between now and the pending event, same + nearby ticks.
-    sim.schedule_at(5'000'001, fire(2));
-    sim.schedule_at(9'999'999, fire(3));
-    sim.schedule_at(10'000'000, fire(4));  // Ties with #1 on time.
-    sim.run_until(10'000'000);
-    log.emplace_back(sim.now(), sim.pending_events());
-    sim.run();
-    log.emplace_back(sim.now(), sim.executed_events());
-    return log;
-  };
-  EXPECT_EQ(drive(SchedBackend::kHeap), drive(SchedBackend::kWheel));
-}
-
-TEST(SchedDifferential, BackendSelection) {
-  EXPECT_EQ(Simulator(SchedBackend::kHeap).backend(), SchedBackend::kHeap);
-  EXPECT_EQ(Simulator(SchedBackend::kWheel).backend(),
-            SchedBackend::kWheel);
-  // The default constructor follows AF_SCHED.
-  const char* saved = std::getenv("AF_SCHED");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  setenv("AF_SCHED", "wheel", 1);
-  EXPECT_TRUE(af_sched_wheel_enabled());
-  EXPECT_EQ(Simulator().backend(), SchedBackend::kWheel);
-  setenv("AF_SCHED", "heap", 1);
-  EXPECT_FALSE(af_sched_wheel_enabled());
-  EXPECT_EQ(Simulator().backend(), SchedBackend::kHeap);
-  if (saved != nullptr) {
-    setenv("AF_SCHED", saved_value.c_str(), 1);
-  } else {
-    unsetenv("AF_SCHED");
-  }
+  EXPECT_EQ(horizons_and_gaps<Simulator>(),
+            horizons_and_gaps<ReferenceCalendar>());
 }
 
 }  // namespace

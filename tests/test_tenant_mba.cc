@@ -98,7 +98,7 @@ TEST(TenantMba, RefillClampsExactlyAtBurstAcrossIdleGaps) {
   // and clamp the *product*, so a long idle gap pushed a huge intermediate
   // through double precision. The clamp now compares elapsed time against
   // the time-to-fill, which is exact for arbitrarily long gaps. Boundary
-  // gaps: zero, about one timing-wheel span (~0.27s), and hours.
+  // gaps: zero, 2^38 ps (~0.27s), and hours.
   const double rate = 1e9;        // 1 GB/s.
   const double burst_s = 0.0011;  // ~1.1 MB of credit.
   const auto run_gap = [&](sim::TimePs gap) {
@@ -133,17 +133,17 @@ TEST(TenantMba, RefillClampsExactlyAtBurstAcrossIdleGaps) {
     EXPECT_GT(t1, sim.now());  // Past it, with zero elapsed time.
   }
 
-  // gap ~ the timing-wheel span (2^38 ps ~ 0.275s) and gap ~ 3 hours:
-  // both refill to exactly the burst — identical post-gap behavior.
-  const auto wheel = run_gap(sim::TimePs{1} << 38);
+  // gap = 2^38 ps (~0.275s) and gap ~ 3 hours: both refill to exactly
+  // the burst — identical post-gap behavior.
+  const auto short_gap = run_gap(sim::TimePs{1} << 38);
   const auto hours = run_gap(sim::seconds(3.0 * 3600.0));
-  EXPECT_EQ(wheel.first, 0);  // Burst covers the first MB.
+  EXPECT_EQ(short_gap.first, 0);  // Burst covers the first MB.
   EXPECT_EQ(hours.first, 0);
-  EXPECT_GT(wheel.second, 0);  // Deficit delays the second.
-  EXPECT_EQ(wheel.second, hours.second);  // Clamp is exact, not gap-sized.
+  EXPECT_GT(short_gap.second, 0);  // Deficit delays the second.
+  EXPECT_EQ(short_gap.second, hours.second);  // Clamp is exact.
   // The deficit is (2MB - burst) / rate.
   const double expect_s = (2.0 * (1 << 20) - rate * burst_s) / rate;
-  EXPECT_NEAR(sim::to_seconds(wheel.second), expect_s, 1e-6);
+  EXPECT_NEAR(sim::to_seconds(short_gap.second), expect_s, 1e-6);
 }
 
 TEST(TenantMba, BucketRefillsOverTime) {

@@ -9,8 +9,8 @@ a >20% drop fails) times the baseline value. Non-throughput keys (counts,
 geomeans, high-water marks) are informational and not gated, unless an
 absolute floor is requested for one with ``--speedup-floor KEY=VALUE``
 (repeatable): the *measured* value of KEY must then be >= VALUE. That is
-how CI holds the compiled-chain backend to its >= 1.5x geomean
-(``--speedup-floor compiled_speedup_geomean=1.5``).
+how CI holds the auto-tuner to its >= 1.3x latency recovery
+(``--speedup-floor autotune_latency_improvement=1.3``).
 
 Usage:
     tools/perf_gate.py BASELINE.json MEASURED.json [--min-ratio 0.8]
