@@ -4,33 +4,16 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "core/trace_templates.h"
-#include "critpath/critpath.h"
 #include "workload/parallel_runner.h"
+#include "workload/rig.h"
 
 namespace accelflow::cluster {
-
-namespace {
-/** Mixes values into a 64-bit hash (splitmix-style finalizer): derives
- *  per-shard seeds from the experiment's without correlating streams. */
-std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t x = a ^ (b + 0x9E3779B97F4A7C15ull + (a << 6) + (a >> 2));
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-}  // namespace
 
 /** One cross-shard RPC hop, parked in the sender's outbox until the next
  *  window barrier merges it into the destination calendar. */
@@ -46,24 +29,13 @@ struct Datacenter::Message {
   obs::FlowId flow = 0;       ///< Caller chain (hop-span attribution).
 };
 
-/** One machine shard plus its full run_experiment()-shaped harness. */
+/** One machine shard: its workload::Rig plus the cluster-only state. */
 struct Datacenter::Shard {
-  std::unique_ptr<core::Machine> machine;
-  core::TraceLibrary lib;
-  std::unique_ptr<check::InvariantChecker> env_checker;
-  check::InvariantChecker* checker = nullptr;
-  std::vector<std::unique_ptr<workload::Service>> services;
-  std::unique_ptr<core::Orchestrator> orch;
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::unique_ptr<workload::RequestEngine> engine;
-  std::vector<std::unique_ptr<workload::LoadGenerator>> gens;
-  std::vector<double> gen_rates;
-  /** Per-shard QoS boundary: each shard guards its own arrivals and caps
-   *  its own package power (DESIGN.md §19). Null when the run carries no
-   *  policy / power budget. */
-  std::unique_ptr<qos::AdmissionController> admission;
-  std::unique_ptr<qos::PowerGovernor> governor;
+  Shard(const workload::ExperimentConfig& e, sim::TimePs issue_until,
+        sim::TimePs govern_until, std::size_t index)
+      : rig(e, issue_until, govern_until, index) {}
 
+  workload::Rig rig;
   /** Local vs remote decision stream for nested RPCs (shard-private, so
    *  draws happen race-free on the shard's own worker thread). */
   sim::Rng remote_rng{0};
@@ -80,19 +52,14 @@ struct Datacenter::Shard {
   std::uint64_t admitted_base = 0;
   std::uint64_t generated_base = 0;
   std::uint64_t remote_base = 0;
+
+  sim::Simulator& sim() { return rig.machine().sim(); }
 };
 
 /** The whole-cluster fork checkpoint (ClusterSession). */
 struct Datacenter::ForkState {
   struct PerShard {
-    core::Machine::Checkpoint machine;
-    std::unique_ptr<core::OrchCheckpoint> orch;
-    workload::RequestEngine::Checkpoint engine;
-    std::vector<workload::LoadGenerator::Checkpoint> gens;
-    check::InvariantChecker::Checkpoint checker;
-    fault::FaultInjector::Checkpoint injector;
-    qos::AdmissionController::Checkpoint admission;
-    qos::PowerGovernor::Checkpoint governor;
+    workload::Rig::Checkpoint rig;
     std::array<std::uint64_t, 4> remote_rng{};
     std::uint64_t next_rpc = 0;
   };
@@ -199,130 +166,42 @@ Datacenter::Datacenter(const ClusterConfig& config, bool fork_mode)
   assert(config_.shards > 0);
   const workload::ExperimentConfig& e = config_.experiment;
 
-  balancer_ = std::make_unique<Balancer>(config_.policy, config_.shards,
-                                         mix(e.seed, 0xB417CE));
+  balancer_ = std::make_unique<Balancer>(
+      config_.policy, config_.shards, workload::mix_seed(e.seed, 0xB417CE));
   rack_ = std::make_unique<RackNetwork>(config_.rack, config_.shards);
 
-  // Fork mode cuts the replicated streams at warmup so prepare() can
-  // drain to quiescence; run_point() revives them per point.
+  // Fork mode cuts the replicated streams and the governors at warmup so
+  // prepare() can drain to quiescence; run_point() revives them per point.
   const sim::TimePs issue_until =
       fork_mode_ ? e.warmup : e.warmup + e.measure;
-
-  // QoS (DESIGN.md §19): one policy cluster-wide, one admission boundary
-  // and power governor per shard — exactly run_experiment()'s attachments
-  // replicated, so the 1-shard conformance identity holds under QoS too.
-  const qos::QosPolicy qos_policy = workload::resolve_qos_policy(e);
-  core::EngineConfig engine_config = e.engine;
-  if (qos_policy.enabled()) engine_config.qos = qos_policy;
+  const sim::TimePs govern_until =
+      fork_mode_ ? e.warmup : issue_until + e.drain;
 
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto sh = std::make_unique<Shard>();
-    // Shard 0 replicates run_experiment()'s construction *exactly* —
-    // unperturbed machine/engine/fault seeds — which is what makes the
-    // 1-shard Datacenter byte-identical to the bare harness (the
-    // conformance oracle). Shards beyond 0 derive decorrelated seeds.
-    core::MachineConfig mc = workload::with_qos(e.machine, qos_policy);
-    if (i > 0) mc.seed = mix(mc.seed, 0x5AD0 + i);
-    sh->machine = std::make_unique<core::Machine>(mc);
-    if (i == 0 && e.tracer != nullptr) sh->machine->set_tracer(e.tracer);
-    core::register_templates(sh->lib);
-    workload::register_relief_traces(sh->lib);
-
-    // The config's checker is single-simulation state: shard 0 only.
-    // Under AF_CHECK every shard audits itself with an internal one.
-    sh->checker = (i == 0) ? e.checker : nullptr;
-    if (sh->checker == nullptr && workload::af_check_enabled()) {
-      sh->env_checker = std::make_unique<check::InvariantChecker>();
-      sh->checker = sh->env_checker.get();
-    }
-    if (sh->checker != nullptr) sh->checker->attach(*sh->machine, sh->lib);
-
-    sh->services = workload::build_services(e.specs, sh->lib);
-    std::vector<workload::Service*> service_ptrs;
-    for (auto& s : sh->services) service_ptrs.push_back(s.get());
-
-    sh->orch = core::make_orchestrator(e.kind, *sh->machine, sh->lib,
-                                       engine_config);
-
-    // Fault injection: config plan or AF_FAULTS, engine-family only —
-    // exactly run_experiment()'s policy. Shard faults are independent
-    // streams (shard 0 keeps the plan's seed for conformance).
-    fault::FaultPlan plan = e.faults;
-    if (!plan.enabled()) {
-      const double rate = workload::af_fault_rate();
-      if (rate > 0) plan = fault::FaultPlan::uniform(rate);
-    }
-    if (plan.enabled() && sh->orch->engine() != nullptr) {
-      if (i > 0) plan.seed = mix(plan.seed, 0xFA010 + i);
-      sh->injector =
-          std::make_unique<fault::FaultInjector>(sh->machine->sim(), plan);
-      sh->machine->set_fault_hooks(sh->injector.get());
-    }
-
-    const std::uint64_t engine_seed =
-        i == 0 ? e.seed : mix(e.seed, 0xE191E + i);
-    sh->engine = std::make_unique<workload::RequestEngine>(
-        *sh->machine, *sh->orch, service_ptrs, engine_seed);
-    if (!e.step_deadline_budgets.empty()) {
-      sh->engine->set_step_deadline_budgets(e.step_deadline_budgets);
-    } else {
-      sh->engine->set_step_deadline_budget(e.step_deadline_budget);
-    }
-
-    // Replicated arrival streams: *identical* generator seeds on every
-    // shard, so all shards agree on the arrival calendar and the router
-    // alone decides ownership (see workload::ArrivalRouter).
-    for (std::size_t s = 0; s < sh->services.size(); ++s) {
-      const double rps = e.per_service_rps.empty()
-                             ? e.rps_per_service
-                             : e.per_service_rps[s];
-      if (rps <= 0) continue;
-      sh->gens.push_back(std::make_unique<workload::LoadGenerator>(
-          sh->machine->sim(), *sh->engine, s, e.load_model, rps, issue_until,
-          e.seed ^ (0x10AD + 1315423911ull * (s + 1))));
-      sh->gen_rates.push_back(rps);
-    }
-
-    if (qos_policy.enabled()) {
-      sh->admission = std::make_unique<qos::AdmissionController>(
-          sh->machine->sim(), qos_policy);
-      sh->engine->set_admission(sh->admission.get());
-      for (auto& g : sh->gens) g->set_admission(sh->admission.get());
-    }
-    if (e.power.budget_w > 0.0) {
-      sh->governor =
-          std::make_unique<qos::PowerGovernor>(*sh->machine, e.power);
-      // Fork mode stops governing at the warmup horizon so the calendar
-      // drains to quiescence; run_point() re-arms it per point.
-      sh->governor->start(fork_mode_ ? e.warmup
-                                     : e.warmup + e.measure + e.drain);
-    }
-
+    // Shard 0's rig is the single-machine run's, unperturbed seeds and
+    // all: the 1-shard conformance oracle (tests/test_cluster.cc).
+    auto sh = std::make_unique<Shard>(e, issue_until, govern_until, i);
     if (config_.shards > 1) {
-      for (auto& g : sh->gens) g->set_router(balancer_.get(), i);
+      for (auto& g : sh->rig.generators()) g->set_router(balancer_.get(), i);
       // Re-route a slice of nested RPCs across the rack: replace the
       // RequestEngine's machine-local injector with one that draws a
       // local/remote decision per call. Same callee universe.
       if (config_.remote_rpc_fraction > 0.0) {
-        for (auto& svc : sh->services) {
+        for (auto& svc : sh->rig.services()) {
           if (svc->callee_indices().empty()) continue;
           const double rtt = svc->spec().rpc_wire_rtt_us;
           std::vector<std::size_t> callees = svc->callee_indices();
-          const std::size_t shard_idx = i;
           svc->set_nested_injector(
-              [this, shard_idx, rtt](
-                  core::ChainContext& ctx, std::size_t callee,
-                  std::function<void(std::uint64_t)> deliver) {
-                route_nested(shard_idx, rtt, ctx, callee,
-                             std::move(deliver));
+              [this, i, rtt](core::ChainContext& ctx, std::size_t callee,
+                             std::function<void(std::uint64_t)> deliver) {
+                route_nested(i, rtt, ctx, callee, std::move(deliver));
               },
               std::move(callees));
         }
       }
-      sh->remote_rng = sim::Rng(mix(e.seed, 0x2E30 + i));
+      sh->remote_rng = sim::Rng(workload::mix_seed(e.seed, 0x2E30 + i));
     }
-
     shards_.push_back(std::move(sh));
   }
 
@@ -337,20 +216,16 @@ Datacenter::Datacenter(const ClusterConfig& config, bool fork_mode)
   }
 }
 
-Datacenter::~Datacenter() {
-  for (auto& sh : shards_) {
-    if (sh->checker != nullptr) sh->checker->detach();
-  }
-}
+Datacenter::~Datacenter() = default;
 
 std::size_t Datacenter::shards() const { return shards_.size(); }
 
 core::Machine& Datacenter::machine(std::size_t shard) {
-  return *shards_[shard]->machine;
+  return shards_[shard]->rig.machine();
 }
 
 workload::RequestEngine& Datacenter::engine(std::size_t shard) {
-  return *shards_[shard]->engine;
+  return shards_[shard]->rig.engine();
 }
 
 bool Datacenter::prepared() const { return fork_ != nullptr; }
@@ -358,7 +233,7 @@ bool Datacenter::prepared() const { return fork_ != nullptr; }
 void Datacenter::run_window(sim::TimePs horizon) {
   const std::function<void(std::size_t)> advance = [this,
                                                     horizon](std::size_t i) {
-    shards_[i]->machine->sim().run_until(horizon);
+    shards_[i]->sim().run_until(horizon);
   };
   if (pool_ != nullptr) {
     pool_->run(advance);
@@ -380,7 +255,7 @@ void Datacenter::barrier_sync() {
   // route() reads — updated here, between windows, never during one.
   std::vector<std::uint64_t> load(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    load[i] = shards_[i]->engine->in_flight();
+    load[i] = shards_[i]->rig.engine().in_flight();
   }
   balancer_->update_load(std::move(load));
 }
@@ -393,14 +268,14 @@ void Datacenter::deliver_message(const Message& m) {
   // with a tracer attached record anything. tid = the far shard, so each
   // peer gets its own track under the net process.
   Shard& flow_owner = *shards_[m.kind == Message::kRequest ? m.src : m.dst];
-  if (obs::Tracer* tr = flow_owner.machine->tracer()) {
+  if (obs::Tracer* tr = flow_owner.rig.machine().tracer()) {
     const std::uint32_t far =
         m.kind == Message::kRequest ? m.dst : m.src;
     tr->complete(obs::Subsys::kNet, obs::SpanKind::kNetHop, far, m.sent,
                  arrival, m.bytes, m.flow);
   }
   Shard& dst = *shards_[m.dst];
-  assert(arrival >= dst.machine->sim().now() &&
+  assert(arrival >= dst.sim().now() &&
          "lookahead violation: message arrives inside a computed window");
   if (m.kind == Message::kRequest) {
     const std::size_t dst_idx = m.dst;
@@ -408,11 +283,11 @@ void Datacenter::deliver_message(const Message& m) {
     const std::uint64_t rpc_id = m.rpc_id;
     const std::size_t callee = m.callee;
     const obs::FlowId flow = m.flow;
-    dst.machine->sim().schedule_at(
+    dst.sim().schedule_at(
         arrival, [this, dst_idx, src_idx, rpc_id, callee, flow] {
           // Serve the sub-request locally on the destination shard; its
           // completion posts the reply hop back through the outbox.
-          shards_[dst_idx]->engine->inject_internal(
+          shards_[dst_idx]->rig.engine().inject_internal(
               callee, 0.0,
               [this, dst_idx, src_idx, rpc_id,
                flow](std::uint64_t resp_bytes) {
@@ -421,7 +296,7 @@ void Datacenter::deliver_message(const Message& m) {
                 reply.kind = Message::kReply;
                 reply.src = static_cast<std::uint32_t>(dst_idx);
                 reply.dst = src_idx;
-                reply.sent = d.machine->sim().now();
+                reply.sent = d.sim().now();
                 reply.bytes = resp_bytes;
                 reply.rpc_id = rpc_id;
                 reply.flow = flow;
@@ -432,7 +307,7 @@ void Datacenter::deliver_message(const Message& m) {
     const std::size_t dst_idx = m.dst;
     const std::uint64_t rpc_id = m.rpc_id;
     const std::uint64_t resp_bytes = m.bytes;
-    dst.machine->sim().schedule_at(
+    dst.sim().schedule_at(
         arrival, [this, dst_idx, rpc_id, resp_bytes] {
           Shard& d = *shards_[dst_idx];
           auto it = d.pending.find(rpc_id);
@@ -452,7 +327,7 @@ void Datacenter::route_nested(std::size_t src, double rtt_us,
                       sh.remote_rng.bernoulli(config_.remote_rpc_fraction);
   if (!remote) {
     // The machine-local path the RequestEngine would have taken.
-    sh.engine->inject_internal(callee, rtt_us, std::move(deliver));
+    sh.rig.engine().inject_internal(callee, rtt_us, std::move(deliver));
     return;
   }
   // Uniform choice among the other shards; both draws come from the
@@ -467,7 +342,7 @@ void Datacenter::route_nested(std::size_t src, double rtt_us,
   m.kind = Message::kRequest;
   m.src = static_cast<std::uint32_t>(src);
   m.dst = static_cast<std::uint32_t>(dst);
-  m.sent = sh.machine->sim().now();
+  m.sent = sh.sim().now();
   m.bytes = rack_->params().request_bytes;
   m.rpc_id = rpc_id;
   m.callee = callee;
@@ -479,7 +354,7 @@ void Datacenter::advance_to(sim::TimePs target) {
   if (shards_.size() == 1) {
     // One shard has nobody to talk to: no windows, no barriers — the
     // exact run_until() call run_experiment() makes (conformance).
-    shards_[0]->machine->sim().run_until(target);
+    shards_[0]->sim().run_until(target);
     now_ = target;
     return;
   }
@@ -498,7 +373,7 @@ void Datacenter::advance_to(sim::TimePs target) {
     sim::TimePs next = sim::Simulator::kNoEvent;
     for (const auto& sh : shards_) {
       wire = wire || !sh->outbox.empty();
-      next = std::min(next, sh->machine->sim().next_event_time());
+      next = std::min(next, sh->sim().next_event_time());
     }
     if (!wire && next > horizon) {
       now_ = std::min(target, next);
@@ -514,7 +389,7 @@ void Datacenter::advance_to(sim::TimePs target) {
 
 bool Datacenter::quiescent() const {
   for (const auto& sh : shards_) {
-    if (sh->machine->sim().pending_events() != 0) return false;
+    if (sh->sim().pending_events() != 0) return false;
     if (!sh->outbox.empty() || !sh->pending.empty()) return false;
   }
   return true;
@@ -533,7 +408,7 @@ void Datacenter::drain_quiescent() {
     sim::TimePs next = sim::Simulator::kNoEvent;
     for (const auto& sh : shards_) {
       wire = wire || !sh->outbox.empty();
-      next = std::min(next, sh->machine->sim().next_event_time());
+      next = std::min(next, sh->sim().next_event_time());
     }
     if (!wire && next != sim::Simulator::kNoEvent && next > now_) {
       now_ = next;
@@ -546,13 +421,10 @@ void Datacenter::drain_quiescent() {
 
 void Datacenter::reset_stats() {
   for (auto& sh : shards_) {
-    sh->engine->reset_stats();
-    if (sh->injector != nullptr) sh->injector->reset_stats();
-    if (sh->admission != nullptr) sh->admission->reset_stats();
-    if (sh->governor != nullptr) sh->governor->reset_stats();
+    sh->rig.reset_stats();
     std::uint64_t admitted = 0;
     std::uint64_t generated = 0;
-    for (const auto& g : sh->gens) {
+    for (const auto& g : sh->rig.generators()) {
       admitted += g->admitted();
       generated += g->generated();
     }
@@ -579,42 +451,27 @@ ClusterResult Datacenter::run() {
     // chains" is decidable — a fixed horizon can strand a fault-retried
     // chain (or its reply) in the final lookahead window.
     if (shards_.size() == 1) {
-      shards_[0]->machine->sim().run();
-      now_ = shards_[0]->machine->sim().now();
+      shards_[0]->sim().run();
+      now_ = shards_[0]->sim().now();
     } else {
       drain_quiescent();
     }
   }
   ClusterResult out = harvest();
   final_audits();
-  // Under AF_CHECK=1 a traced run also audits critical-path conservation,
-  // now including the network category's hop spans (critpath.h).
-  if (e.tracer != nullptr && workload::af_check_enabled()) {
-    critpath::Analyzer audit;
-    audit.analyze(*e.tracer);
-    if (!audit.violations().empty()) {
-      std::fprintf(stderr,
-                   "AF_CHECK: critical-path conservation violated "
-                   "(%zu chains)\n",
-                   audit.violations().size());
-      for (const std::string& v : audit.violations()) {
-        std::fprintf(stderr, "  %s\n", v.c_str());
-      }
-      std::abort();
-    }
-  }
+  // The conservation audit now includes the network category's hop spans.
+  workload::audit_critical_path(e.tracer);
   return out;
 }
 
 void Datacenter::prepare() {
   assert(fork_mode_ && "prepare() requires fork mode");
   assert(fork_ == nullptr && "prepare() already called");
-  const workload::ExperimentConfig& e = config_.experiment;
-  advance_to(e.warmup);
+  advance_to(config_.experiment.warmup);
   if (shards_.size() == 1) {
     // Drain exactly as SweepSession does: run to an empty calendar.
-    shards_[0]->machine->sim().run();
-    now_ = shards_[0]->machine->sim().now();
+    shards_[0]->sim().run();
+    now_ = shards_[0]->sim().now();
   } else {
     // Drain to *global* quiescence: keep opening windows until every
     // calendar, outbox and pending-RPC map is empty. Window boundaries
@@ -625,21 +482,10 @@ void Datacenter::prepare() {
 
   fork_ = std::make_unique<ForkState>();
   fork_->rack = rack_->checkpoint();
-  fork_->shards.resize(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& sh = *shards_[i];
-    ForkState::PerShard& f = fork_->shards[i];
-    sh.machine->checkpoint(f.machine);
-    f.orch = sh.orch->save_checkpoint();
-    f.engine = sh.engine->checkpoint();
-    f.gens.reserve(sh.gens.size());
-    for (const auto& g : sh.gens) f.gens.push_back(g->checkpoint());
-    if (sh.checker != nullptr) f.checker = sh.checker->checkpoint();
-    if (sh.injector != nullptr) f.injector = sh.injector->checkpoint();
-    if (sh.admission != nullptr) f.admission = sh.admission->checkpoint();
-    if (sh.governor != nullptr) f.governor = sh.governor->checkpoint();
-    f.remote_rng = sh.remote_rng.state();
-    f.next_rpc = sh.next_rpc;
+  fork_->shards.reserve(shards_.size());
+  for (const auto& sh : shards_) {
+    fork_->shards.push_back(
+        {sh->rig.checkpoint(), sh->remote_rng.state(), sh->next_rpc});
   }
 }
 
@@ -649,16 +495,7 @@ ClusterResult Datacenter::run_point(double rate_factor) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = *shards_[i];
     const ForkState::PerShard& f = fork_->shards[i];
-    sh.machine->restore(f.machine);
-    sh.orch->restore_checkpoint(*f.orch);
-    sh.engine->restore(f.engine);
-    for (std::size_t g = 0; g < sh.gens.size(); ++g) {
-      sh.gens[g]->restore(f.gens[g]);
-    }
-    if (sh.checker != nullptr) sh.checker->restore(f.checker);
-    if (sh.injector != nullptr) sh.injector->restore(f.injector);
-    if (sh.admission != nullptr) sh.admission->restore(f.admission);
-    if (sh.governor != nullptr) sh.governor->restore(f.governor);
+    sh.rig.restore(f.rig);
     sh.remote_rng.set_state(f.remote_rng);
     sh.next_rpc = f.next_rpc;
     sh.outbox.clear();
@@ -667,17 +504,10 @@ ClusterResult Datacenter::run_point(double rate_factor) {
   now_ = t_fork_;
 
   reset_stats();
-  const workload::ExperimentConfig& e = config_.experiment;
-  const sim::TimePs issue_until = t_fork_ + e.measure;
-  for (auto& sh : shards_) {
-    for (std::size_t g = 0; g < sh->gens.size(); ++g) {
-      sh->gens[g]->resume(sh->gen_rates[g] * rate_factor, issue_until);
-    }
-    if (sh->governor != nullptr) {
-      sh->governor->resume(issue_until + e.drain);
-    }
-  }
-  advance_to(issue_until + e.drain);
+  const sim::TimePs issue_until = t_fork_ + config_.experiment.measure;
+  const sim::TimePs end = issue_until + config_.experiment.drain;
+  for (auto& sh : shards_) sh->rig.resume(rate_factor, issue_until, end);
+  advance_to(end);
   ClusterResult out = harvest();
   final_audits();
   return out;
@@ -690,31 +520,10 @@ ClusterResult Datacenter::harvest() {
   std::uint64_t decisions = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = *shards_[i];
-    out.shards.push_back(workload::harvest_result(
-        *sh.machine, *sh.orch, *sh.engine,
-        i == 0 ? config_.experiment.metrics : nullptr));
-    if (sh.injector != nullptr) {
-      out.shards.back().faults = sh.injector->stats();
-      if (i == 0 && config_.experiment.metrics != nullptr) {
-        sh.injector->snapshot_metrics(*config_.experiment.metrics);
-      }
-    }
-    if (sh.admission != nullptr) {
-      out.shards.back().qos_tenants = sh.admission->tenant_stats();
-      out.shards.back().qos_shed_total = sh.admission->total_shed();
-      if (i == 0 && config_.experiment.metrics != nullptr) {
-        sh.admission->snapshot_metrics(*config_.experiment.metrics);
-      }
-    }
-    if (sh.governor != nullptr) {
-      out.shards.back().power = sh.governor->stats();
-      if (i == 0 && config_.experiment.metrics != nullptr) {
-        sh.governor->snapshot_metrics(*config_.experiment.metrics);
-      }
-    }
+    out.shards.push_back(sh.rig.harvest());
     std::uint64_t admitted = 0;
     std::uint64_t generated = 0;
-    for (const auto& g : sh.gens) {
+    for (const auto& g : sh.rig.generators()) {
       admitted += g->admitted();
       generated += g->generated();
     }
@@ -730,20 +539,12 @@ ClusterResult Datacenter::harvest() {
     out.balancer_busy =
         static_cast<sim::TimePs>(decisions) * Balancer::decision_cost_ps();
   }
-  out.elapsed = shards_[0]->machine->sim().now();
+  out.elapsed = shards_[0]->sim().now();
   return out;
 }
 
 void Datacenter::final_audits() {
-  for (auto& sh : shards_) {
-    if (sh->checker == nullptr) continue;
-    sh->checker->final_audit();
-    if (sh->env_checker != nullptr && !sh->checker->ok()) {
-      std::fprintf(stderr, "AF_CHECK: invariant violations detected\n%s",
-                   sh->checker->report().c_str());
-      std::abort();
-    }
-  }
+  for (auto& sh : shards_) sh->rig.final_audit();
 }
 
 }  // namespace accelflow::cluster

@@ -22,9 +22,10 @@
  * the Balancer — a pure function consulted through
  * workload::ArrivalRouter — decides which shard owns each arrival. The
  * owner injects it, everyone else drops it. No arrival crosses a thread
- * boundary, and a 1-shard Datacenter degenerates *exactly* into
- * workload::run_experiment(): same construction order, same RNG streams,
- * same calendar — the conformance oracle (tests/test_cluster.cc).
+ * boundary. Every shard is a workload::Rig, shard 0 with the experiment's
+ * unperturbed seeds, so a 1-shard Datacenter degenerates *exactly* into
+ * workload::run_experiment(): same rig, same RNG streams, same calendar —
+ * the conformance oracle (tests/test_cluster.cc).
  *
  * ## Conservative-lookahead windows
  *
@@ -42,11 +43,11 @@
  *
  * ## Fork/checkpoint
  *
- * ClusterSession mirrors workload::SweepSession at cluster scope: warmup
- * once, drain every shard to global quiescence (empty calendars, empty
- * outboxes, no pending RPCs), capture whole-cluster state (per-shard
- * machine/orchestrator/engine/generator/checker/injector checkpoints plus
- * the rack's link-fault stream), then fork measurement points from it.
+ * ClusterSession is workload::SweepSession at cluster scope: warmup once,
+ * drain every shard to global quiescence (empty calendars, empty outboxes,
+ * no pending RPCs), capture whole-cluster state (one workload::Rig
+ * checkpoint per shard, its RPC stream and cursor, plus the rack's
+ * link-fault stream), then fork measurement points from it.
  */
 
 namespace accelflow::cluster {
@@ -93,7 +94,7 @@ struct ClusterConfig {
 
 /** Aggregate outcome of one cluster run. */
 struct ClusterResult {
-  /** Per-shard results, harvested by workload::harvest_result — shard
+  /** Per-shard results, harvested by each shard's workload::Rig — shard
    *  entries are byte-compatible with bare run_experiment() output. */
   std::vector<workload::ExperimentResult> shards;
   /** Arrivals each shard owned (injected) over the measured window. */
@@ -121,8 +122,8 @@ struct ClusterResult {
 class Datacenter {
  public:
   /**
-   * Builds every shard (machine, services, orchestrator, engine,
-   * replicated generators) plus the balancer and rack model.
+   * Builds every shard (one workload::Rig with replicated generators)
+   * plus the balancer and rack model.
    *
    * @param fork_mode when true, warmup generators stop at
    *        experiment.warmup so prepare() can drain to quiescence (the
@@ -173,7 +174,7 @@ class Datacenter {
   unsigned threads() const { return threads_; }
 
  private:
-  struct Shard;      // One machine + its harness (datacenter.cc).
+  struct Shard;      // One workload::Rig + cluster state (datacenter.cc).
   struct Message;    // A cross-shard RPC hop (datacenter.cc).
   struct ForkState;  // The whole-cluster checkpoint (datacenter.cc).
   class ShardPool;   // Persistent window workers (datacenter.cc).

@@ -4,19 +4,15 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
 
-#include "core/orch_baselines.h"
-#include "core/trace_templates.h"
-#include "critpath/critpath.h"
 #include "workload/parallel_runner.h"
+#include "workload/rig.h"
+#include "workload/sweep.h"
 
 namespace accelflow::workload {
 namespace {
@@ -53,260 +49,18 @@ bool detail::probe_cancelled() {
          t_probe_cancel->load(std::memory_order_relaxed);
 }
 
-bool af_check_enabled() {
-  const char* v = std::getenv("AF_CHECK");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
-double af_fault_rate() {
-  const char* v = std::getenv("AF_FAULTS");
-  if (v == nullptr || *v == '\0') return 0.0;
-  char* end = nullptr;
-  const double rate = std::strtod(v, &end);
-  if (end == v || rate <= 0.0) return 0.0;
-  return std::min(rate, 1.0);
-}
-
-bool af_qos_enabled() {
-  const char* v = std::getenv("AF_QOS");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
-qos::QosPolicy resolve_qos_policy(const ExperimentConfig& config) {
-  if (config.qos.enabled() || !af_qos_enabled()) return config.qos;
-  return qos::QosPolicy::isolation_defaults(config.specs.size());
-}
-
-core::MachineConfig with_qos(core::MachineConfig mc,
-                             const qos::QosPolicy& policy) {
-  if (policy.enabled()) {
-    if (policy.reserved_input_slots > 0) {
-      mc.reserved_input_slots = policy.reserved_input_slots;
-    }
-    if (policy.aging_quantum_us > 0.0) {
-      mc.sched_aging_quantum_us = policy.aging_quantum_us;
-    }
-  }
-  return mc;
-}
-
-ExperimentResult harvest_result(core::Machine& machine,
-                                const core::Orchestrator& orch,
-                                const RequestEngine& engine,
-                                obs::MetricsRegistry* metrics) {
-  ExperimentResult out;
-  out.services.resize(engine.num_services());
-  double sum_mean = 0, sum_p99 = 0;
-  std::size_t measured = 0;
-  for (std::size_t s = 0; s < engine.num_services(); ++s) {
-    ServiceResult& r = out.services[s];
-    const ServiceStats& st = engine.stats(s);
-    r.name = engine.service(s).name();
-    r.completed = st.completed;
-    r.failed = st.failed;
-    r.fallbacks = st.fallbacks;
-    r.faulted = st.faulted;
-    r.latency = st.latency;
-    if (st.latency.count() > 0) {
-      r.mean_us = sim::to_microseconds(
-          static_cast<sim::TimePs>(st.latency.mean()));
-      r.p50_us = sim::to_microseconds(st.latency.p50());
-      r.p99_us = sim::to_microseconds(st.latency.p99());
-      sum_mean += r.mean_us;
-      sum_p99 += r.p99_us;
-      ++measured;
-    }
-  }
-  if (measured > 0) {
-    out.avg_mean_us = sum_mean / static_cast<double>(measured);
-    out.avg_p99_us = sum_p99 / static_cast<double>(measured);
-  }
-
-  // Machine activity.
-  out.elapsed = machine.sim().now();
-  out.core_utilization = machine.cores().utilization();
-  out.core_busy = machine.cores().stats().busy_time;
-  out.dma_utilization = machine.dma().utilization();
-  out.dma_busy = machine.dma().stats().busy_time;
-  out.manager_busy = machine.manager().total_busy_time();
-  out.interrupts = machine.cores().stats().interrupts;
-  for (const accel::AccelType t : accel::kAllAccelTypes) {
-    const auto& acc = machine.accel(t);
-    out.accel_utilization[accel::index_of(t)] = acc.pe_utilization();
-    out.accel_busy += acc.stats().pe_busy_time;
-    out.accel_busy_by_type[accel::index_of(t)] = acc.stats().pe_busy_time;
-    out.dispatcher_busy += acc.dispatcher_busy_time();
-    out.overflow_enqueues += acc.stats().overflow_enqueues;
-    out.overflow_rejections += acc.stats().overflow_rejections;
-    out.accel_invocations += acc.stats().jobs;
-    out.tlb_lookups += acc.tlb_stats().lookups;
-    out.tlb_misses += acc.tlb_stats().misses();
-    out.page_faults += acc.stats().faults;
-    out.deadline_misses += acc.stats().deadline_misses;
-  }
-  if (const auto* eng = orch.engine()) {
-    out.engine = eng->stats();
-  } else if (const auto* base =
-                 dynamic_cast<const core::BaselineOrchestrator*>(&orch)) {
-    out.baseline = base->stats();
-    out.orchestration_time = base->stats().orchestration_time;
-    out.manager_events = base->stats().manager_events;
-  }
-  if (metrics != nullptr) {
-    machine.snapshot_metrics(*metrics);
-    if (const auto* eng = orch.engine()) {
-      eng->snapshot_metrics(*metrics);
-    }
-  }
-  return out;
-}
-
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  // QoS policy resolution (DESIGN.md §19): the config's policy, or —
-  // under AF_QOS=1 — the tenant-isolation defaults for runs that carry
-  // none. The policy's dispatcher knobs thread into the machine config
-  // (so accelerators are *built* with the reserved headroom and aging
-  // quantum), its quotas/priorities into the engine config below.
-  const qos::QosPolicy policy = resolve_qos_policy(config);
-  core::Machine machine(with_qos(config.machine, policy));
-  if (config.tracer != nullptr) machine.set_tracer(config.tracer);
-  core::TraceLibrary lib;
-  core::register_templates(lib);
-  register_relief_traces(lib);
-
-  // Validation: the caller's checker, or — under AF_CHECK=1 — an internal
-  // one that turns any invariant violation into a hard failure. The whole
-  // test suite runs with AF_CHECK=1, so every experiment any test drives
-  // is continuously audited (TESTING.md).
-  check::InvariantChecker* checker = config.checker;
-  std::unique_ptr<check::InvariantChecker> env_checker;
-  if (checker == nullptr && af_check_enabled()) {
-    env_checker = std::make_unique<check::InvariantChecker>();
-    checker = env_checker.get();
-  }
-  if (checker != nullptr) checker->attach(machine, lib);
-
-  auto services = build_services(config.specs, lib);
-  std::vector<Service*> service_ptrs;
-  for (auto& s : services) service_ptrs.push_back(s.get());
-
-  core::EngineConfig engine_config = config.engine;
-  if (policy.enabled()) engine_config.qos = policy;
-  auto orch =
-      core::make_orchestrator(config.kind, machine, lib, engine_config);
-
-  // Fault injection: the config's plan, or — under AF_FAULTS=<rate> — a
-  // uniform plan applied to every run. The injector is run-owned state
-  // (it perturbs simulated time), unlike the observer-style tracer/checker.
-  // Only engine-family orchestrators carry the resilience policy that can
-  // recover injected losses (DESIGN.md §14); attaching an injector to a
-  // baseline would strand chains forever — a guaranteed invariant
-  // violation, not a measurement — so baselines always run fault-free.
-  fault::FaultPlan plan = config.faults;
-  if (!plan.enabled()) {
-    const double rate = af_fault_rate();
-    if (rate > 0) plan = fault::FaultPlan::uniform(rate);
-  }
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (plan.enabled() && orch->engine() != nullptr) {
-    injector = std::make_unique<fault::FaultInjector>(machine.sim(), plan);
-    machine.set_fault_hooks(injector.get());
-  }
-
-  RequestEngine engine(machine, *orch, service_ptrs, config.seed);
-  if (!config.step_deadline_budgets.empty()) {
-    engine.set_step_deadline_budgets(config.step_deadline_budgets);
-  } else {
-    engine.set_step_deadline_budget(config.step_deadline_budget);
-  }
-
-  // QoS admission controller (DESIGN.md §19): one per run, consulted by
-  // every generator before injection and fed every completion's latency.
-  std::unique_ptr<qos::AdmissionController> admission;
-  if (policy.enabled()) {
-    admission =
-        std::make_unique<qos::AdmissionController>(machine.sim(), policy);
-    engine.set_admission(admission.get());
-  }
-
   const sim::TimePs issue_until = config.warmup + config.measure;
-  std::vector<std::unique_ptr<LoadGenerator>> gens;
-  for (std::size_t s = 0; s < services.size(); ++s) {
-    const double rps = config.per_service_rps.empty()
-                           ? config.rps_per_service
-                           : config.per_service_rps[s];
-    if (rps <= 0) continue;
-    gens.push_back(std::make_unique<LoadGenerator>(
-        machine.sim(), engine, s, config.load_model, rps, issue_until,
-        config.seed ^ (0x10AD + 1315423911ull * (s + 1))));
-    if (admission != nullptr) gens.back()->set_admission(admission.get());
-  }
-
-  // Power cap (DESIGN.md §19): the governor's epoch events stop at the
-  // drain horizon, so the calendar still drains to quiescence.
-  std::unique_ptr<qos::PowerGovernor> governor;
-  if (config.power.budget_w > 0.0) {
-    governor = std::make_unique<qos::PowerGovernor>(machine, config.power);
-    governor->start(issue_until + config.drain);
-  }
-
+  Rig rig(config, issue_until, issue_until + config.drain);
   // Warmup: run, then clear the recorders so only steady state counts.
-  advance_to(machine.sim(), config.warmup);
-  engine.reset_stats();
-  if (injector != nullptr) injector->reset_stats();
-  if (admission != nullptr) admission->reset_stats();
-  if (governor != nullptr) governor->reset_stats();
-  advance_to(machine.sim(), issue_until + config.drain);
-
-  ExperimentResult out =
-      harvest_result(machine, *orch, engine, config.metrics);
-  if (injector != nullptr) {
-    out.faults = injector->stats();
-    if (config.metrics != nullptr) {
-      injector->snapshot_metrics(*config.metrics);
-    }
-  }
-  if (admission != nullptr) {
-    out.qos_tenants = admission->tenant_stats();
-    out.qos_shed_total = admission->total_shed();
-    if (config.metrics != nullptr) {
-      admission->snapshot_metrics(*config.metrics);
-    }
-  }
-  if (governor != nullptr) {
-    out.power = governor->stats();
-    if (config.metrics != nullptr) {
-      governor->snapshot_metrics(*config.metrics);
-    }
-  }
-  if (checker != nullptr) {
-    checker->final_audit();
-    if (env_checker != nullptr && !checker->ok()) {
-      std::fprintf(stderr, "AF_CHECK: invariant violations detected\n%s",
-                   checker->report().c_str());
-      std::abort();
-    }
-    checker->detach();
-  }
-  // Under AF_CHECK=1, a traced run also audits the critical-path
-  // conservation identity: re-attributing the ring must account for every
-  // picosecond of every closed chain (critpath.h). One tracer covers
-  // exactly this run, so the audit lives here and not in SweepSession
-  // (where the ring accumulates across forked points).
-  if (config.tracer != nullptr && af_check_enabled()) {
-    critpath::Analyzer audit;
-    audit.analyze(*config.tracer);
-    if (!audit.violations().empty()) {
-      std::fprintf(stderr,
-                   "AF_CHECK: critical-path conservation violated "
-                   "(%zu chains)\n",
-                   audit.violations().size());
-      for (const std::string& v : audit.violations()) {
-        std::fprintf(stderr, "  %s\n", v.c_str());
-      }
-      std::abort();
-    }
-  }
+  advance_to(rig.machine().sim(), config.warmup);
+  rig.reset_stats();
+  advance_to(rig.machine().sim(), issue_until + config.drain);
+  ExperimentResult out = rig.harvest();
+  rig.final_audit();
+  // One tracer covers exactly this run, so the conservation audit lives
+  // here and not in SweepSession (where the ring spans forked points).
+  audit_critical_path(config.tracer);
   return out;
 }
 
@@ -330,8 +84,9 @@ namespace {
 /**
  * The serial capacity search as a state machine: probe `lo`, climb a
  * geometric grid to the first violation below `hi`, then bisect the
- * bracket. find_max_load() takes its decisions; the look-ahead replays a
- * copy on predicted outcomes, so both walk exactly one sequence.
+ * bracket. find_max_load() takes its decisions and its look-ahead replays
+ * a copy on predicted outcomes; find_max_load_forked() walks it over a
+ * SweepSession. All of them walk exactly one sequence.
  */
 class SearchPath {
  public:
@@ -401,6 +156,39 @@ class SearchPath {
   int iters_;
   int bisections_ = 0;
 };
+
+/** One probe's outcome against the SLOs. */
+struct SloVerdict {
+  bool ok = true;        ///< Every driven service met its SLO.
+  double log_ratio = 0;  ///< log of the worst p99/SLO, capped at 1e3.
+};
+
+/**
+ * Judges one probe: a driven service (rates[s] > 0) violates when it
+ * completes nothing or its p99 exceeds slos[s]. Both capacity searches
+ * take their decisions through this one check.
+ */
+SloVerdict judge_probe(const ExperimentResult& result,
+                       const std::vector<double>& rates,
+                       const std::vector<sim::TimePs>& slos) {
+  constexpr double kRatioCap = 1e3;
+  double worst = 1.0 / kRatioCap;
+  SloVerdict v;
+  for (std::size_t s = 0; s < result.services.size(); ++s) {
+    if (rates[s] <= 0) continue;  // Not driven.
+    const auto& svc = result.services[s];
+    const sim::TimePs p99 = svc.latency.p99();
+    // A saturated service stops completing requests at all: that also
+    // violates.
+    if (svc.completed == 0 || p99 > slos[s]) v.ok = false;
+    worst = std::max(worst, svc.completed == 0 || slos[s] == 0
+                                ? kRatioCap
+                                : static_cast<double>(p99) /
+                                      static_cast<double>(slos[s]));
+  }
+  v.log_ratio = std::log(std::min(worst, kRatioCap));
+  return v;
+}
 
 /** `base` with every service's rate scaled by `factor`. */
 ExperimentConfig scaled(const ExperimentConfig& base, double factor) {
@@ -492,22 +280,9 @@ class SpeculativeSearch {
   void execute(Probe& p) const {
     const ExperimentConfig cfg = scaled(base_, p.factor);
     p.result = probe_(cfg);
-    constexpr double kRatioCap = 1e3;
-    double worst = 1.0 / kRatioCap;
-    p.ok = true;
-    for (std::size_t s = 0; s < p.result.services.size(); ++s) {
-      if (cfg.per_service_rps[s] <= 0) continue;  // Not driven.
-      const auto& svc = p.result.services[s];
-      const sim::TimePs p99 = svc.latency.p99();
-      // A saturated service stops completing requests at all: that also
-      // violates.
-      if (svc.completed == 0 || p99 > slos_[s]) p.ok = false;
-      worst = std::max(worst, svc.completed == 0 || slos_[s] == 0
-                                  ? kRatioCap
-                                  : static_cast<double>(p99) /
-                                        static_cast<double>(slos_[s]));
-    }
-    p.log_ratio = std::log(std::min(worst, kRatioCap));
+    const SloVerdict v = judge_probe(p.result, cfg.per_service_rps, slos_);
+    p.ok = v.ok;
+    p.log_ratio = v.log_ratio;
     // Only a passing probe's result can become at_peak.
     if (!p.ok) p.result = ExperimentResult{};
   }
@@ -695,6 +470,24 @@ double find_max_load(const ExperimentConfig& base,
                      SpeculationStats* speculation) {
   return detail::find_max_load(run_experiment, base, slos, search_iters, lo,
                                hi, at_peak, speculation);
+}
+
+double find_max_load_forked(SweepSession& session,
+                            const std::vector<sim::TimePs>& slos,
+                            int search_iters, double lo, double hi,
+                            ExperimentResult* at_peak) {
+  if (!session.prepared()) session.prepare();
+  const ExperimentConfig& cfg = session.config();
+  std::vector<double> rates = cfg.per_service_rps;
+  if (rates.empty()) rates.assign(cfg.specs.size(), cfg.rps_per_service);
+  SearchPath path(lo, hi, search_iters);
+  while (const std::optional<double> factor = path.next()) {
+    ExperimentResult res = session.run_point({*factor, {}});
+    const bool ok = judge_probe(res, rates, slos).ok;
+    if (ok && at_peak != nullptr) *at_peak = std::move(res);
+    path.record(*factor, ok);
+  }
+  return path.answer();
 }
 
 }  // namespace accelflow::workload

@@ -172,38 +172,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config);
  *  violation. The test suite runs this way (TESTING.md). */
 bool af_check_enabled();
 
-/** The AF_FAULTS environment knob: a per-site fault rate in [0, 1] that
- *  applies fault::FaultPlan::uniform(rate) to every run whose config does
- *  not already carry a plan. Returns 0 when unset or unparsable. */
-double af_fault_rate();
-
-/** True when AF_QOS=1 (anything but "0"/"") is set in the environment:
- *  runs whose config carries no explicit QoS policy get
- *  qos::QosPolicy::isolation_defaults() instead (DESIGN.md §19). */
-bool af_qos_enabled();
-
-/** The run's effective QoS policy: config.qos, or — under AF_QOS=1 when
- *  that is empty — qos::QosPolicy::isolation_defaults() for the config's
- *  services. Shared by run_experiment() and SweepSession. */
-qos::QosPolicy resolve_qos_policy(const ExperimentConfig& config);
-
-/** Copies `mc` with `policy`'s dispatcher knobs (reserved input slots,
- *  aging quantum) applied, so accelerators are built with them. */
-core::MachineConfig with_qos(core::MachineConfig mc,
-                             const qos::QosPolicy& policy);
-
-/**
- * Collects the end-of-run measurements — per-service latency, machine
- * activity, orchestrator counters, and (optionally) a metrics-registry
- * snapshot — from a machine that has finished simulating. Shared by
- * run_experiment() and the checkpoint-and-fork SweepSession so both
- * report byte-identical structures for the same simulated timeline.
- */
-ExperimentResult harvest_result(core::Machine& machine,
-                                const core::Orchestrator& orch,
-                                const RequestEngine& engine,
-                                obs::MetricsRegistry* metrics = nullptr);
-
 /**
  * Unloaded per-service latency (P50 at a trickle load) — the basis of the
  * paper's SLO = 5x unloaded service execution time.

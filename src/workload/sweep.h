@@ -5,12 +5,9 @@
 #include <memory>
 #include <vector>
 
-#include "check/invariant_checker.h"
 #include "core/machine.h"
-#include "core/orchestrator.h"
 #include "workload/experiment.h"
-#include "workload/load_generator.h"
-#include "workload/request_engine.h"
+#include "workload/rig.h"
 
 /**
  * @file
@@ -55,18 +52,19 @@ struct SweepPoint {
  *
  * Single-threaded like the simulator itself; parallel sweeps run one
  * session per thread (one per sweep *group*), exactly as ParallelRunner
- * runs one experiment per thread. The config's tracer/metrics/checker
+ * runs one experiment per thread. The session builds, forks and harvests
+ * through a workload::Rig, so the config's tracer/metrics/checker
  * attachments behave as in run_experiment(), with one addition: under
  * AF_CHECK=1 (or with a caller checker) the checker's state is forked
  * alongside the machine so every point is audited independently.
  */
 class SweepSession {
  public:
-  /** Builds the machine, services, orchestrator and warmup generators. */
+  /** Builds the rig, with the warmup generators and governor stopping at
+   *  config.warmup. */
   explicit SweepSession(const ExperimentConfig& config);
   SweepSession(const SweepSession&) = delete;
   SweepSession& operator=(const SweepSession&) = delete;
-  ~SweepSession();
 
   /**
    * Simulates the warmup, drains the machine to quiescence (empty event
@@ -92,38 +90,17 @@ class SweepSession {
   const ExperimentConfig& config() const { return config_; }
 
  private:
-  struct Fork;  // The checkpoint bundle (machine + harness state).
-
   ExperimentConfig config_;
-  /** Effective QoS policy (config.qos or the AF_QOS defaults); resolved
-   *  before machine_ so the accelerators are built with its dispatcher
-   *  knobs, exactly as run_experiment() builds them. */
-  qos::QosPolicy qos_policy_;
-  core::Machine machine_;
-  core::TraceLibrary lib_;
-  /** QoS admission controller / power governor (DESIGN.md §19); forked
-   *  with the machine — buckets, EWMAs and the DVFS level are run state. */
-  std::unique_ptr<qos::AdmissionController> admission_;
-  std::unique_ptr<qos::PowerGovernor> governor_;
-  /** Owned fault injector (config plan or AF_FAULTS); forked with the
-   *  machine — its RNG streams are deterministic run state. */
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<check::InvariantChecker> env_checker_;
-  check::InvariantChecker* checker_ = nullptr;
-  std::vector<std::unique_ptr<Service>> services_;
-  std::unique_ptr<core::Orchestrator> orch_;
-  std::unique_ptr<RequestEngine> engine_;
-  std::vector<std::unique_ptr<LoadGenerator>> gens_;
-  std::vector<double> gen_rates_;  ///< Base rate per generator.
-  std::unique_ptr<Fork> fork_;
+  Rig rig_;
+  std::unique_ptr<Rig::Checkpoint> fork_;
   sim::TimePs t_fork_ = 0;
 };
 
 /**
- * find_max_load() on a forked session: the same geometric-grid +
- * bounded-bisection search, with every probe forked from the shared
- * warmup instead of re-simulating it. Call prepare() first (or let this
- * do it).
+ * find_max_load() on a forked session: the same search path and SLO check
+ * (defined beside find_max_load() in experiment.cc), walked serially, with
+ * every probe forked from the shared warmup instead of re-simulating it.
+ * Call prepare() first (or let this do it).
  */
 double find_max_load_forked(SweepSession& session,
                             const std::vector<sim::TimePs>& slos,

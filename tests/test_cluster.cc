@@ -4,7 +4,9 @@
  *
  *  - a 1-shard cluster::Datacenter must be *byte-identical* to the bare
  *    run_experiment() harness — same per-service stats, same machine
- *    activity, same exported trace — with and without fault injection.
+ *    activity, same exported trace — with and without fault injection, a
+ *    QoS policy and a throttling power budget, and a 1-shard
+ *    ClusterSession must match SweepSession under the same inputs.
  *    This is the conformance oracle that pins the cluster layer to the
  *    single-machine semantics everything else validates;
  *  - a multi-shard run must be bit-identical regardless of worker-thread
@@ -27,6 +29,7 @@
 #include "cluster/datacenter.h"
 #include "fault/fault_plan.h"
 #include "obs/tracer.h"
+#include "qos/policy.h"
 #include "workload/experiment.h"
 #include "workload/suites.h"
 #include "workload/sweep.h"
@@ -70,6 +73,61 @@ void expect_identical(const workload::ExperimentResult& a,
   EXPECT_EQ(a.overflow_enqueues, b.overflow_enqueues) << what;
   EXPECT_EQ(a.tlb_lookups, b.tlb_lookups) << what;
   EXPECT_EQ(a.faults.total(), b.faults.total()) << what;
+  EXPECT_EQ(a.qos_shed_total, b.qos_shed_total) << what;
+  ASSERT_EQ(a.qos_tenants.size(), b.qos_tenants.size()) << what;
+  for (std::size_t t = 0; t < a.qos_tenants.size(); ++t) {
+    const qos::TenantAdmissionStats& x = a.qos_tenants[t];
+    const qos::TenantAdmissionStats& y = b.qos_tenants[t];
+    EXPECT_EQ(x.offered, y.offered) << what << " tenant " << t;
+    EXPECT_EQ(x.admitted, y.admitted) << what << " tenant " << t;
+    EXPECT_EQ(x.shed, y.shed) << what << " tenant " << t;
+    EXPECT_EQ(x.over_quota, y.over_quota) << what << " tenant " << t;
+    EXPECT_EQ(x.completions, y.completions) << what << " tenant " << t;
+    EXPECT_EQ(x.slo_violations, y.slo_violations) << what << " tenant " << t;
+  }
+  EXPECT_EQ(a.power.epochs, b.power.epochs) << what;
+  EXPECT_EQ(a.power.steps_down, b.power.steps_down) << what;
+  EXPECT_EQ(a.power.steps_up, b.power.steps_up) << what;
+  EXPECT_EQ(a.power.capped_epochs, b.power.capped_epochs) << what;
+  EXPECT_EQ(a.power.min_scale, b.power.min_scale) << what;
+  EXPECT_EQ(a.power.max_power_w, b.power.max_power_w) << what;
+  EXPECT_EQ(a.power.sum_power_w, b.power.sum_power_w) << what;
+  EXPECT_EQ(a.power.last_power_w, b.power.last_power_w) << what;
+}
+
+/** One conformance input: small_experiment() plus some of faults, the QoS
+ *  isolation defaults and a power budget below the package's idle floor
+ *  (so the governor throttles). */
+struct Variant {
+  const char* name;
+  bool faults, qos, power;
+};
+
+constexpr Variant kVariants[] = {{"faults", true, false, false},
+                                 {"qos", false, true, false},
+                                 {"power", false, false, true},
+                                 {"all", true, true, true}};
+
+workload::ExperimentConfig variant_experiment(const Variant& v) {
+  workload::ExperimentConfig cfg = small_experiment();
+  if (v.faults) cfg.faults = fault::FaultPlan::uniform(0.02);
+  if (v.qos) cfg.qos = qos::QosPolicy::isolation_defaults(cfg.specs.size());
+  if (v.power) cfg.power.budget_w = 50.0;
+  return cfg;
+}
+
+/** The variant's knobs actually did something in `r`. */
+void expect_variant_active(const Variant& v,
+                           const workload::ExperimentResult& r) {
+  if (v.faults) {
+    EXPECT_GT(r.faults.total(), 0u) << v.name;
+  }
+  if (v.qos) {
+    EXPECT_FALSE(r.qos_tenants.empty()) << v.name;
+  }
+  if (v.power) {
+    EXPECT_GT(r.power.capped_epochs, 0u) << v.name;
+  }
 }
 
 void expect_identical(const ClusterResult& a, const ClusterResult& b,
@@ -131,20 +189,22 @@ TEST(ClusterConformance, OneShardTraceIsByteIdentical) {
 }
 
 TEST(ClusterConformance, OneShardMatchesUnderFaultInjection) {
-  // The injector is run-owned state with its own RNG streams; shard 0
-  // must wire it with the plan's unperturbed seed.
-  workload::ExperimentConfig cfg = small_experiment();
-  cfg.faults = fault::FaultPlan::uniform(0.02);
-  const workload::ExperimentResult bare = workload::run_experiment(cfg);
-  EXPECT_GT(bare.faults.total(), 0u);
+  // The injector, admission controller and governor are run-owned state;
+  // shard 0 must wire them exactly as the bare harness does, with the
+  // plan's unperturbed seed.
+  for (const Variant& v : kVariants) {
+    const workload::ExperimentConfig cfg = variant_experiment(v);
+    const workload::ExperimentResult bare = workload::run_experiment(cfg);
+    expect_variant_active(v, bare);
 
-  ClusterConfig cluster;
-  cluster.experiment = cfg;
-  cluster.shards = 1;
-  Datacenter dc(cluster);
-  const ClusterResult res = dc.run();
-  ASSERT_EQ(res.shards.size(), 1u);
-  expect_identical(bare, res.shards[0], "faulted");
+    ClusterConfig cluster;
+    cluster.experiment = cfg;
+    cluster.shards = 1;
+    Datacenter dc(cluster);
+    const ClusterResult res = dc.run();
+    ASSERT_EQ(res.shards.size(), 1u) << v.name;
+    expect_identical(bare, res.shards[0], v.name);
+  }
 }
 
 TEST(Cluster, EveryArrivalOwnedByExactlyOneShard) {
@@ -276,19 +336,23 @@ TEST(ClusterSession, ForkPointsAreBitIdentical) {
 TEST(ClusterSession, OneShardSessionConformsToSweepSession) {
   // The cluster fork engine at one shard degenerates into SweepSession:
   // same fork time, same measured stats for the same rate factor.
-  workload::ExperimentConfig cfg = small_experiment();
-  workload::SweepSession sweep(cfg);
-  sweep.prepare();
-  const workload::ExperimentResult bare = sweep.run_point({1.0, {}});
+  for (const Variant& v : kVariants) {
+    const workload::ExperimentConfig cfg = variant_experiment(v);
+    workload::SweepSession sweep(cfg);
+    sweep.prepare();
+    const workload::ExperimentResult bare = sweep.run_point({1.0, {}});
+    expect_variant_active(v, bare);
 
-  ClusterConfig cluster;
-  cluster.experiment = cfg;
-  cluster.shards = 1;
-  ClusterSession session(cluster);
-  session.prepare();
-  const ClusterResult res = session.run_point(1.0);
-  ASSERT_EQ(res.shards.size(), 1u);
-  expect_identical(bare, res.shards[0], "sweep conformance");
+    ClusterConfig cluster;
+    cluster.experiment = cfg;
+    cluster.shards = 1;
+    ClusterSession session(cluster);
+    session.prepare();
+    EXPECT_EQ(session.fork_time(), sweep.fork_time()) << v.name;
+    const ClusterResult res = session.run_point(1.0);
+    ASSERT_EQ(res.shards.size(), 1u) << v.name;
+    expect_identical(bare, res.shards[0], v.name);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
  * Tests for the checkpoint-and-fork machinery (DESIGN.md §13): the arena
  * allocator, the kernel snapshot round-trip, SweepSession's bit-equality
  * contract (a forked point must match a fresh straight-through session of
- * the same point, with and without a tracer, across thread counts), and
- * the invariant checker's state surviving a fork — including the negative
+ * the same point, with and without a tracer, across thread counts), the
+ * forked capacity search's pinned answers, and the invariant checker's
+ * state surviving a fork — including the negative
  * case where forking mid-DMA *without* forking the checker breaks byte
  * conservation, which the checker must catch.
  */
@@ -255,6 +256,55 @@ TEST(SweepSession, ForkTimeIsAfterWarmupAndStable) {
   const sim::TimePs t = s.fork_time();
   (void)s.run_point({1.2, {}});
   EXPECT_EQ(s.fork_time(), t);  // The fork point never moves.
+}
+
+TEST(SweepSession, FindMaxLoadForkedMatchesGolden) {
+  // The forked capacity search walks find_max_load()'s search path over
+  // run_point(); its answer and at-peak tail are pinned so that the search
+  // can change shape but never results. Like every golden, the pins hold
+  // only without AF_FAULTS/AF_QOS. Sized like tests/test_cluster.cc's
+  // small_experiment(); lo = 0.5 so the floor probe completes requests.
+  struct Pin {
+    core::OrchKind kind;
+    double factor;
+    std::vector<sim::TimePs> p99;
+  };
+  const Pin pins[] = {
+      {core::OrchKind::kAccelFlow,
+       11.878329870894316,
+       {830472191, 545259519, 262143999, 297795583, 515899391, 245366783,
+        108003327, 348127231}},
+      {core::OrchKind::kCpuCentric,
+       3.8212372450195327,
+       {1761607679, 1191182335, 562036735, 545259519, 780140543, 532676607,
+        216006655, 780140543}},
+  };
+  for (const Pin& pin : pins) {
+    ExperimentConfig cfg;
+    cfg.kind = pin.kind;
+    cfg.specs = social_network_specs();
+    cfg.rps_per_service = 2500.0;
+    cfg.warmup = sim::milliseconds(2);
+    cfg.measure = sim::milliseconds(8);
+    cfg.drain = sim::milliseconds(4);
+    cfg.seed = 1234;
+    std::vector<sim::TimePs> slos;
+    for (const sim::TimePs u :
+         unloaded_latency(cfg, core::OrchKind::kNonAcc)) {
+      slos.push_back(5 * u);
+    }
+    SweepSession session(cfg);
+    ExperimentResult at_peak;
+    const double factor =
+        find_max_load_forked(session, slos, 4, 0.5, 12.0, &at_peak);
+    const std::string what(core::name_of(pin.kind));
+    EXPECT_EQ(factor, pin.factor) << what;
+    ASSERT_EQ(at_peak.services.size(), pin.p99.size()) << what;
+    for (std::size_t s = 0; s < pin.p99.size(); ++s) {
+      EXPECT_EQ(at_peak.services[s].latency.p99(), pin.p99[s])
+          << what << " service " << s;
+    }
+  }
 }
 
 TEST(RunForkedSweeps, MatchesSerialSessionsAcrossThreadCounts) {
